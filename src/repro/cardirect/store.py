@@ -6,24 +6,55 @@ with Compute-CDR / Compute-CDR%, caches them, and lets edits invalidate
 exactly the affected entries.  Reference mbbs are cached too, so
 comparing ``n`` regions pairwise scans each region's edges ``O(n)``
 times rather than recomputing boxes from scratch.
+
+Direction relations live in a dense ``(n, n)`` ``uint16`` matrix of
+9-bit tile masks (``1 << int(tile)`` per tile, 0 = not computed), rows
+and columns in configuration id order, allocated on first use.  Reads
+decode a mask through the interned
+:meth:`~repro.core.relation.CardinalDirection.from_mask` table, so
+serving the matrix allocates no relation objects.
+
+A full :meth:`RelationStore.refresh_matrix` with a plane-capable engine
+(``sweep``) flattens the configuration into one
+:class:`~repro.core.plane.GeometryPlane` and runs
+:meth:`~repro.core.sweep.SweepEngine.sweep_plane` over it in-process —
+the batch executor's kernel, with no worker pool — and destroys the
+plane on every path out.  Rows the plane cannot answer exactly like the
+per-pair path stay out of the sweep:
+
+* regions with a coordinate that is not float64-exact (a ``Fraction``,
+  or an ``int`` beyond ``±2**24``): the plane rounds them and computes
+  in float64, where the row path compares and multiplies the native
+  values exactly;
+* multi-polygon regions whose polygon mbbs are not pairwise disjoint:
+  the plane's centre-in-region test takes even-odd parity over all of a
+  region's edges at once, which equals the per-polygon test only for
+  disjoint polygons (these regions still serve as reference columns);
+* regions whose mbb cannot be computed: the row path raises their error
+  with its region context.
+
+Every pair the sweep leaves at mask 0, every fill by an engine without
+the plane (``exact``, ``fast``, ``guarded``, ``clipping``) and the
+row/column maintenance after an edit take the row path: one
+``relation_many`` call per row where the engine offers it, else
+per-pair ``relation``.  The plane is imported only when a full refresh
+uses it; its shared-memory segment registers with multiprocessing's
+resource tracker, so the first such refresh in a process starts that
+tracker.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Set, Tuple
+from itertools import combinations
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.batch import BatchReport
 
 from repro.cardirect.model import AnnotatedRegion, Configuration
-from repro.core.engine import (
-    Engine,
-    EngineLike,
-    EngineStats,
-    readonly_view,
-    resolve_engine,
-)
+from repro.core.engine import Engine, EngineLike, EngineStats, resolve_engine
 from repro.core.index import SpatialIndex
 from repro.core.matrix import PercentageMatrix
 from repro.core.relation import CardinalDirection
@@ -31,25 +62,48 @@ from repro.errors import DeadlineExceeded, GeometryError, ReproError
 from repro.extensions.distance import DistanceFrame, minimum_distance
 from repro.extensions.topology import RCC8, rcc8
 from repro.geometry.bbox import BoundingBox
+from repro.geometry.point import Coordinate
+from repro.geometry.region import Region
 from repro.obs.metrics import current_metrics
+from repro.resilience.deadline import count_deadline_exceeded
 
 #: ``all_relations`` error policies.
 ON_ERROR_MODES = ("raise", "skip", "report")
 
+#: Largest ``int`` coordinate magnitude the plane sweep takes: products
+#: and sums in the centre-in-region test stay below float64's 53-bit
+#: mantissa, so float arithmetic matches the row path's exact ints.
+_PLANE_INT_BOUND = 1 << 24
 
-def _count_store_request(operation: str, result: str) -> None:
-    """One ``repro_store_requests_total{operation, result}`` increment.
+
+def _count_store_request(operation: str, result: str, count: int = 1) -> None:
+    """``count`` ``repro_store_requests_total{operation, result}`` increments.
 
     ``result`` is ``"hit"`` when the store's own cache answered and
     ``"miss"`` when the engine had to compute.  A no-op unless a metrics
     registry is installed (:func:`repro.obs.install_metrics`).
     """
     registry = current_metrics()
-    if registry is not None:
+    if registry is not None and count:
         registry.counter(
             "repro_store_requests_total",
             "RelationStore lookups, by operation and cache outcome.",
-        ).inc(operation=operation, result=result)
+        ).inc(count, operation=operation, result=result)
+
+
+def _plane_exact(value: Coordinate) -> bool:
+    """Whether the plane's float64 kernel handles a coordinate exactly."""
+    if type(value) is float:
+        return True
+    return type(value) is int and abs(value) <= _PLANE_INT_BOUND
+
+
+def _disjoint_polygons(region: Region) -> bool:
+    """Whether the region's polygon mbbs are pairwise disjoint."""
+    if len(region.polygons) < 2:
+        return True
+    boxes = [polygon.bounding_box() for polygon in region.polygons]
+    return not any(a.intersects(b) for a, b in combinations(boxes, 2))
 
 
 class RelationStore:
@@ -68,55 +122,39 @@ class RelationStore:
         *,
         distance_frame: Optional[DistanceFrame] = None,
         engine: Optional[EngineLike] = None,
-        fast: bool = False,
-        guarded: bool = False,
         use_index: bool = True,
     ) -> None:
         """``engine`` selects the cardinal-direction compute backend —
         a registered engine name (``"exact"`` default, ``"fast"``,
-        ``"guarded"``, ``"clipping"``, or any third-party registration)
-        or an :class:`~repro.core.engine.Engine` instance (e.g. one
-        carrying a custom ``epsilon`` or an observer hook).  The store
-        routes every :meth:`relation` / :meth:`percentages` miss through
-        it against the cached reference mbb, and its telemetry is
-        readable as :attr:`engine_stats`.
-
-        ``fast=True`` / ``guarded=True`` are deprecated aliases for
-        ``engine="fast"`` / ``engine="guarded"`` (``guarded`` takes
-        precedence, as before).
+        ``"guarded"``, ``"clipping"``, ``"sweep"``, or any third-party
+        registration) or an :class:`~repro.core.engine.Engine` instance
+        (e.g. one carrying a custom ``epsilon`` or an observer hook).
+        The store routes every :meth:`relation` / :meth:`percentages`
+        miss through it against the cached reference mbb, and its
+        telemetry is readable as :attr:`engine_stats`.
 
         ``use_index=False`` disables the mbb spatial index
         (:attr:`index` stays ``None``), forcing every consumer — the
         query evaluator foremost — onto the full-scan path."""
-        if engine is not None and (fast or guarded):
-            raise ValueError(
-                "pass either engine= or the deprecated fast=/guarded= "
-                "flags, not both"
-            )
-        if engine is None:
-            if fast or guarded:
-                warnings.warn(
-                    "RelationStore(fast=..., guarded=...) is deprecated; "
-                    "use RelationStore(engine='fast') / "
-                    "RelationStore(engine='guarded')",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            engine = "guarded" if guarded else ("fast" if fast else "exact")
         self._configuration = configuration
-        self._relations: Dict[Tuple[str, str], CardinalDirection] = {}
+        # The direction matrix: ``_masks[_rows[p], _rows[q]]`` is the
+        # tile mask of ``p R q`` (0 = not computed), laid out for the id
+        # tuple ``_ids`` on first write.
+        self._masks = np.zeros((0, 0), dtype=np.uint16)
+        self._ids: Tuple[str, ...] = ()
+        self._rows: Dict[str, int] = {}
         self._percentages: Dict[Tuple[str, str], PercentageMatrix] = {}
         self._boxes: Dict[str, BoundingBox] = {}
         self._topology: Dict[Tuple[str, str], RCC8] = {}
         self._distances: Dict[Tuple[str, str], float] = {}
         self._distance_frame = distance_frame
-        self._engine = resolve_engine(engine)
+        self._engine = resolve_engine("exact" if engine is None else engine)
         self._use_index = bool(use_index)
         self._index: Optional[SpatialIndex] = None
-        # Maintained relation matrix: `_matrix_ids` names the id set a
-        # complete matrix was last built for (None = never), `_dirty`
-        # the ids whose row/column must be recomputed before serving.
-        self._matrix_ids: Optional[Tuple[str, ...]] = None
+        # `_complete`: every off-diagonal pair of `_ids` has been filled
+        # once; `_dirty`: the ids whose row/column must be refilled
+        # before the matrix is served again.
+        self._complete = False
         self._dirty: Set[str] = set()
 
     @property
@@ -132,19 +170,6 @@ class RelationStore:
     def engine_stats(self) -> EngineStats:
         """The engine's telemetry: call counts, timings, ladder paths."""
         return self._engine.stats
-
-    @property
-    def guard_stats(self) -> Mapping[str, int]:
-        """Ladder path counts, e.g. ``{"fast": n, "exact": n}``.
-
-        .. deprecated::
-            ``guard_stats`` is kept as a read-only view over
-            ``engine_stats.path_counts`` for code written against the
-            pre-engine API.  New code should read
-            :attr:`engine_stats` directly.  Engines without an internal
-            ladder (exact, fast, clipping) present an empty mapping.
-        """
-        return readonly_view(self._engine.stats.path_counts)
 
     def _box(self, region_id: str) -> BoundingBox:
         box = self._boxes.get(region_id)
@@ -191,41 +216,111 @@ class RelationStore:
         """Bring the maintained all-pairs relation matrix up to date.
 
         First call (or after the configuration's id set changes)
-        computes every ordered pair, bulk row-at-a-time when the engine
-        offers ``relation_many``.  After a targeted
-        :meth:`invalidate` / :meth:`update_region`, only the dirty
-        ids' rows and columns are recomputed — ``O(n)`` engine work per
-        edited region instead of the ``O(n^2)`` drop-everything
-        rebuild.  :meth:`all_relations` calls this implicitly.
+        computes every ordered pair not yet cached: a plane-capable
+        engine sweeps the empty rows through one in-process
+        :class:`~repro.core.plane.GeometryPlane`, and the row path
+        (bulk row-at-a-time when the engine offers ``relation_many``)
+        fills whatever is left.  After a targeted :meth:`invalidate` /
+        :meth:`update_region`, only the dirty ids' rows and columns are
+        recomputed — ``O(n)`` engine work per edited region instead of
+        the ``O(n^2)`` drop-everything rebuild.  :meth:`all_relations`
+        calls this implicitly.
+
+        An ambient deadline that expires during the plane sweep raises
+        :class:`~repro.errors.DeadlineExceeded`; the rows finished so
+        far stay cached, so the next call only completes the rest.
         """
         ids = tuple(self._configuration.region_ids)
-        if self._matrix_ids != ids:
-            # Full (re)build: the dirty set is subsumed — invalidation
-            # already dropped the stale pairs, so they recompute here.
+        if ids != self._ids:
+            self._layout(ids)
+        if not self._complete:
+            # Full fill: subsumes the dirty set — invalidation already
+            # zeroed the stale pairs, so they are recomputed here.
             self._dirty.clear()
+            if getattr(self._engine, "supports_plane", False):
+                self._sweep_empty_rows(ids)
             for primary_id in ids:
                 self._refresh_row(primary_id, ids)
-            self._matrix_ids = ids
-            return
-        if not self._dirty:
+            self._complete = True
             return
         for region_id in sorted(self._dirty):
-            if region_id not in self._matrix_ids:
-                continue
-            self._refresh_row(region_id, ids)
-            self._refresh_column(region_id, ids)
+            if region_id in self._rows:
+                self._refresh_row(region_id, ids)
+                self._refresh_column(region_id, ids)
         self._dirty.clear()
+
+    def _layout(self, ids: Tuple[str, ...]) -> None:
+        """Lay the matrix out for ``ids``, keeping every cached mask of
+        an id that is still present (a reordered, grown or shrunk id set
+        never leaves a row pointing at another region)."""
+        masks = np.zeros((len(ids), len(ids)), dtype=np.uint16)
+        rows = {region_id: index for index, region_id in enumerate(ids)}
+        kept = [region_id for region_id in ids if region_id in self._rows]
+        old = np.array([self._rows[region_id] for region_id in kept], dtype=np.intp)
+        new = np.array([rows[region_id] for region_id in kept], dtype=np.intp)
+        masks[np.ix_(new, new)] = self._masks[np.ix_(old, old)]
+        self._masks = masks
+        self._ids = ids
+        self._rows = rows
+        self._complete = False
+
+    def _sweep_empty_rows(self, ids: Tuple[str, ...]) -> None:
+        """Fill every empty row the plane answers exactly (see the module
+        docstring for the rows it leaves to the row path) with one
+        in-process :meth:`~repro.core.sweep.SweepEngine.sweep_plane`."""
+        from repro.core.plane import GeometryPlane
+
+        masks = self._masks
+        healthy: Dict[str, Region] = {}
+        boxes: Dict[str, BoundingBox] = {}
+        broken: Dict[str, str] = {}
+        sweepable = np.zeros(len(ids), dtype=bool)
+        for index, region_id in enumerate(ids):
+            region = self._configuration.get(region_id).region
+            if not all(
+                _plane_exact(vertex.x) and _plane_exact(vertex.y)
+                for polygon in region.polygons
+                for vertex in polygon.vertices
+            ):
+                broken[region_id] = "coordinates not float64-exact"
+                continue
+            try:
+                boxes[region_id] = self._box(region_id)
+            except ReproError as error:
+                broken[region_id] = str(error)
+                continue
+            healthy[region_id] = region
+            sweepable[index] = _disjoint_polygons(region)
+        rows = np.flatnonzero(sweepable & ~masks.any(axis=1))
+        if rows.size == 0 or len(healthy) < 2:
+            return
+        sweep_plane = getattr(self._engine, "sweep_plane")
+        plane = GeometryPlane.build(
+            ids, healthy=healthy, boxes=boxes, broken=broken
+        )
+        try:
+            done, block, _paths, _areas = sweep_plane(
+                plane, 0, rows.size, row_index=rows
+            )
+        finally:
+            plane.destroy()
+        masks[rows[:done]] = block[:done]
+        _count_store_request(
+            "relation", "miss", int(np.count_nonzero(block[:done]))
+        )
+        if done < rows.size:  # the ambient deadline expired mid-sweep
+            count_deadline_exceeded("store.refresh_matrix")
+            raise DeadlineExceeded(site="store.refresh_matrix", remaining=0.0)
 
     def _refresh_row(self, primary_id: str, ids: Tuple[str, ...]) -> None:
         """Fill every missing ``(primary_id, *)`` relation, bulk first."""
-        missing = [
-            reference_id
-            for reference_id in ids
-            if reference_id != primary_id
-            and (primary_id, reference_id) not in self._relations
-        ]
-        if not missing:
+        row = self._rows[primary_id]
+        masks = self._masks[row]
+        missing_at = np.flatnonzero(masks == 0)
+        missing_at = missing_at[missing_at != row]
+        if missing_at.size == 0:
             return
+        missing = [ids[column] for column in missing_at]
         bulk = getattr(self._engine, "relation_many", None)
         if bulk is not None:
             try:
@@ -237,9 +332,8 @@ class RelationStore:
                 # and the legacy first-failing-pair error context.
                 pass
             else:
-                for reference_id, (relation, _path) in zip(missing, results):
-                    self._relations[(primary_id, reference_id)] = relation
-                    _count_store_request("relation", "miss")
+                masks[missing_at] = [relation.mask for relation, _path in results]
+                _count_store_request("relation", "miss", len(missing))
                 return
         for reference_id in missing:
             try:
@@ -250,11 +344,11 @@ class RelationStore:
 
     def _refresh_column(self, reference_id: str, ids: Tuple[str, ...]) -> None:
         """Fill every missing ``(*, reference_id)`` relation."""
-        for primary_id in ids:
-            if primary_id == reference_id:
+        column = self._rows[reference_id]
+        for row in np.flatnonzero(self._masks[:, column] == 0):
+            if row == column:
                 continue
-            if (primary_id, reference_id) in self._relations:
-                continue
+            primary_id = ids[row]
             try:
                 self.relation(primary_id, reference_id)
             except GeometryError as error:
@@ -263,17 +357,25 @@ class RelationStore:
 
     def relation(self, primary_id: str, reference_id: str) -> CardinalDirection:
         """``R`` with ``primary R reference`` (cached)."""
-        key = (primary_id, reference_id)
-        cached = self._relations.get(key)
-        if cached is None:
-            primary = self._configuration.get(primary_id).region
-            cached = self._engine.relation(primary, self._box(reference_id))
-            self._relations[key] = cached
-            _count_store_request("relation", "miss")
-        else:
+        rows = self._rows
+        try:
+            mask = self._masks.item(rows[primary_id], rows[reference_id])
+        except KeyError:
+            mask = 0
+        if mask:
             self._engine.stats.record_cache_assist()
             _count_store_request("relation", "hit")
-        return cached
+            return CardinalDirection.from_mask(mask)
+        primary = self._configuration.get(primary_id).region
+        mask = self._engine.relation(primary, self._box(reference_id)).mask
+        if primary_id not in rows or reference_id not in rows:
+            self._layout(tuple(self._configuration.region_ids))
+        row = self._rows.get(primary_id)
+        column = self._rows.get(reference_id)
+        if row is not None and column is not None:  # else: a removed id
+            self._masks[row, column] = mask
+        _count_store_request("relation", "miss")
+        return CardinalDirection.from_mask(mask)
 
     def percentages(self, primary_id: str, reference_id: str) -> PercentageMatrix:
         """The percentage matrix of ``primary`` vs ``reference`` (cached)."""
@@ -309,9 +411,9 @@ class RelationStore:
 
         In the default ``"raise"`` mode the sweep is served from the
         maintained matrix (:meth:`refresh_matrix`): the first run
-        computes it bulk row-at-a-time, later runs replay it with no
-        engine work at all, and edits re-enter only the touched
-        row/column.
+        computes it (one plane sweep for the ``sweep`` engine, bulk
+        row-at-a-time otherwise), later runs replay it with no engine
+        work at all, and edits re-enter only the touched row/column.
         """
         if on_error not in ON_ERROR_MODES:
             raise ValueError(
@@ -320,20 +422,17 @@ class RelationStore:
         if on_error == "report":
             from repro.core.batch import FAILED, OK, PairOutcome
 
-        ids = self._configuration.region_ids
         if on_error == "raise" and not include_self:
             self.refresh_matrix()
-            relations = self._relations
-            for primary_id in ids:
-                for reference_id in ids:
-                    if primary_id == reference_id:
-                        continue
-                    yield (
-                        primary_id,
-                        reference_id,
-                        relations[(primary_id, reference_id)],
-                    )
+            relation_of = CardinalDirection.from_mask
+            ids = self._ids
+            for row, primary_id in enumerate(ids):
+                masks = self._masks[row].tolist()
+                for column, reference_id in enumerate(ids):
+                    if column != row:
+                        yield primary_id, reference_id, relation_of(masks[column])
             return
+        ids = self._configuration.region_ids
         for primary_id in ids:
             for reference_id in ids:
                 if primary_id == reference_id and not include_self:
@@ -380,7 +479,7 @@ class RelationStore:
         """
         from repro.core.batch import batch_relations
 
-        if "engine" not in kwargs and "compute" not in kwargs:
+        if "engine" not in kwargs:
             kwargs["engine"] = self._engine.spawn()
         return batch_relations(self._configuration, **kwargs)
 
@@ -434,32 +533,31 @@ class RelationStore:
 
         Call after editing a region's geometry via
         :meth:`Configuration.replace_region`.  A targeted invalidation
-        marks only that region's matrix row/column dirty (recomputed on
+        zeroes only that region's matrix row and column — ``O(n)``, the
+        rest of the matrix untouched — marks them dirty (recomputed on
         the next :meth:`refresh_matrix` / :meth:`all_relations`) and
         re-points the spatial index row in place; the no-argument form
         drops the matrix and the index wholesale.
         """
         if region_id is None:
-            self._relations.clear()
+            self._layout(())
             self._percentages.clear()
             self._boxes.clear()
             self._topology.clear()
             self._distances.clear()
-            self._matrix_ids = None
             self._dirty.clear()
             self._index = None
             return
         self._boxes.pop(region_id, None)
-        for cache in (
-            self._relations,
-            self._percentages,
-            self._topology,
-            self._distances,
-        ):
+        row = self._rows.get(region_id)
+        if row is not None:
+            self._masks[row, :] = 0
+            self._masks[:, row] = 0
+        for cache in (self._percentages, self._topology, self._distances):
             stale = [key for key in cache if region_id in key]
             for key in stale:
                 del cache[key]
-        if self._matrix_ids is not None:
+        if self._complete:
             self._dirty.add(region_id)
         if self._index is not None:
             try:

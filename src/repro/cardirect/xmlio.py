@@ -45,6 +45,27 @@ from repro.geometry.point import Coordinate
 from repro.geometry.polygon import Polygon
 from repro.geometry.region import Region
 
+#: ElementTree's attribute escapes, in its order.  Relation attributes
+#: never hold ``\r``, the one character Python versions escape
+#: differently (a region id may end in ``\n``: the id pattern's ``$``
+#: admits one trailing newline).
+_ATTRIBUTE_ESCAPES = (
+    ("&", "&amp;"),
+    ("<", "&lt;"),
+    (">", "&gt;"),
+    ('"', "&quot;"),
+    ("\n", "&#10;"),
+    ("\t", "&#09;"),
+)
+
+
+def _escape_attribute(text: str) -> str:
+    """``text`` escaped as ElementTree escapes an attribute value."""
+    for character, entity in _ATTRIBUTE_ESCAPES:
+        text = text.replace(character, entity)
+    return text
+
+
 #: The DTD, emitted verbatim into saved documents.  It is the paper's DTD
 #: plus one backward-compatible optional attribute: ``Relation
 #: percentages`` stores the cardinal direction matrix with percentages
@@ -181,25 +202,29 @@ def configuration_to_xml(
                     x=format_coordinate(vertex.x),
                     y=format_coordinate(vertex.y),
                 )
-    if include_relations and len(configuration) > 1:
-        store = store or RelationStore(configuration)
-        for primary_id, reference_id, relation in store.all_relations():
-            element = ET.SubElement(
-                image,
-                "Relation",
-                type=str(relation),
-                primary=primary_id,
-                reference=reference_id,
-            )
-            if include_percentages:
-                element.set(
-                    "percentages",
-                    format_percentages(
-                        store.percentages(primary_id, reference_id)
-                    ),
-                )
     ET.indent(image)
     body = ET.tostring(image, encoding="unicode")
+    if include_relations and len(configuration) > 1:
+        # The n(n-1) Relation elements are most of the document, so they
+        # are formatted here rather than serialised element by element:
+        # the text is exactly what ElementTree writes for them after
+        # ET.indent, and each relation's text is interned.
+        store = store or RelationStore(configuration)
+        quoted = {
+            region_id: _escape_attribute(region_id)
+            for region_id in configuration.region_ids
+        }
+        lines = []
+        for primary_id, reference_id, relation in store.all_relations():
+            percentages = ""
+            if include_percentages:
+                matrix = store.percentages(primary_id, reference_id)
+                percentages = f' percentages="{format_percentages(matrix)}"'
+            lines.append(
+                f'  <Relation type="{relation}" primary="{quoted[primary_id]}" '
+                f'reference="{quoted[reference_id]}"{percentages} />\n'
+            )
+        body = body[: -len("</Image>")] + "".join(lines) + "</Image>"
     return f'<?xml version="1.0" encoding="UTF-8"?>\n{CARDIRECT_DTD}\n{body}\n'
 
 

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
@@ -708,22 +707,6 @@ def _worker_chunk(
 # Shared-memory plane executor
 # ---------------------------------------------------------------------------
 
-#: Interned relation per tile bitmask — a plane sweep would otherwise
-#: materialise one identical :class:`CardinalDirection` per pair.
-_RELATION_CACHE: Dict[int, CardinalDirection] = {}
-
-
-def _relation_from_mask(mask: int) -> CardinalDirection:
-    """The direction relation named by a plane tile bitmask (interned)."""
-    relation = _RELATION_CACHE.get(mask)
-    if relation is None:
-        relation = CardinalDirection(
-            *[tile for tile in Tile if mask & (1 << int(tile))]
-        )
-        _RELATION_CACHE[mask] = relation
-    return relation
-
-
 #: Floor on the adaptive chunk size — below this the dispatch overhead
 #: (IPC round-trip, task bookkeeping) dominates the row work.
 _MIN_CHUNK_ROWS = 4
@@ -972,7 +955,7 @@ def _assemble_plane_rows(
         range(n) if column_positions is None else list(column_positions)
     )
     path_names = (None, PRUNE_PATH, BROADCAST_PATH)
-    relation_cache = _RELATION_CACHE
+    relation_of = CardinalDirection.from_mask
     any_broken = bool(broken)
     any_repairs = bool(repairs)
     repaired_columns = (
@@ -1041,9 +1024,6 @@ def _assemble_plane_rows(
                             )
                         }
                     )
-            relation = relation_cache.get(mask)
-            if relation is None:
-                relation = _relation_from_mask(mask)
             append(
                 PairOutcome(
                     primary_id,
@@ -1052,7 +1032,7 @@ def _assemble_plane_rows(
                     if primary_repaired
                     or (repaired_columns is not None and repaired_columns[column])
                     else OK,
-                    relation,
+                    relation_of(mask),
                     matrix,
                     None,
                     path_names[path_code],
@@ -1503,7 +1483,6 @@ def batch_relations(
     include_self: bool = False,
     percentages: bool = False,
     engine: Optional[EngineLike] = None,
-    compute: Optional[str] = None,
     repair: bool = True,
     validate: bool = True,
     epsilon: float = DEFAULT_EPSILON,
@@ -1532,8 +1511,7 @@ def batch_relations(
     :func:`~repro.core.engine.register_engine` registration — or as an
     :class:`~repro.core.engine.Engine` instance.  The engine's
     :class:`~repro.core.engine.EngineStats` for the sweep are threaded
-    into the returned report.  ``compute`` is the deprecated pre-engine
-    spelling of the same selector.
+    into the returned report.
 
     With ``repair`` (default) invalid regions are repaired before use
     and failing pairs are retried on repaired geometry; with
@@ -1562,17 +1540,6 @@ def batch_relations(
     and chunk re-dispatch alike); the default preserves the historical
     single-retry behaviour.
     """
-    if compute is not None:
-        if engine is not None:
-            raise ValueError(
-                "pass either engine= or the deprecated compute=, not both"
-            )
-        warnings.warn(
-            "batch_relations(compute=...) is deprecated; use engine=...",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        engine = compute
     if workers is not None:
         if isinstance(workers, bool) or not isinstance(workers, int):
             raise ValueError(

@@ -15,7 +15,7 @@ basic relations.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, Tuple, Union
+from typing import FrozenSet, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.errors import RelationError
 from repro.core.tiles import CANONICAL_ORDER, Tile
@@ -43,7 +43,7 @@ class CardinalDirection:
         CardinalDirection.parse("B:S:SW")
     """
 
-    __slots__ = ("_tiles",)
+    __slots__ = ("_tiles", "_text")
 
     def __init__(self, *tiles: TileLike) -> None:
         if len(tiles) == 1 and not isinstance(tiles[0], (Tile, str)):
@@ -53,6 +53,20 @@ class CardinalDirection:
         if not coerced:
             raise RelationError("a cardinal direction relation needs >= 1 tile")
         self._tiles: FrozenSet[Tile] = coerced
+        self._text: Optional[str] = None
+
+    @staticmethod
+    def from_mask(mask: int) -> "CardinalDirection":
+        """The interned relation of a 9-bit tile mask (``1 << int(tile)``
+        per tile), as the plane sweep and the relation store encode it.
+
+        Every call with the same mask returns the identical object — one
+        of :data:`ALL_BASIC_RELATIONS` — so decoding a mask matrix
+        allocates nothing.  Mask 0 (no tile) is not a relation.
+        """
+        if 0 < mask < 512:
+            return _BY_MASK[mask - 1]
+        raise RelationError(f"tile mask must be in 1..511, got {mask!r}")
 
     @classmethod
     def parse(cls, text: str) -> "CardinalDirection":
@@ -71,6 +85,11 @@ class CardinalDirection:
     @property
     def tiles(self) -> FrozenSet[Tile]:
         return self._tiles
+
+    @property
+    def mask(self) -> int:
+        """The 9-bit tile mask :meth:`from_mask` decodes."""
+        return sum(1 << int(tile) for tile in self._tiles)
 
     @property
     def is_single_tile(self) -> bool:
@@ -122,7 +141,9 @@ class CardinalDirection:
         return len(self._tiles)
 
     def __str__(self) -> str:
-        return ":".join(t.name for t in self.ordered_tiles())
+        if self._text is None:
+            self._text = ":".join(t.name for t in self.ordered_tiles())
+        return self._text
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CardinalDirection({str(self)!r})"
@@ -140,17 +161,22 @@ def tile_union(
     return CardinalDirection(*tiles)
 
 
-def _all_basic_relations() -> Tuple[CardinalDirection, ...]:
-    relations = []
+def _relations_by_mask() -> Tuple[CardinalDirection, ...]:
     tiles = list(Tile)
-    for mask in range(1, 1 << 9):
-        members = [tiles[i] for i in range(9) if mask >> i & 1]
-        relations.append(CardinalDirection(*members))
-    return tuple(sorted(relations, key=lambda r: (len(r), r.ordered_tiles())))
+    return tuple(
+        CardinalDirection(*[tile for tile in tiles if mask >> tile & 1])
+        for mask in range(1, 1 << len(tiles))
+    )
 
+
+#: ``_BY_MASK[mask - 1]`` is the interned relation of a tile mask — the
+#: table behind :meth:`CardinalDirection.from_mask`.
+_BY_MASK: Tuple[CardinalDirection, ...] = _relations_by_mask()
 
 #: All 511 basic relations of ``D*``, sorted by tile count then canonically.
-ALL_BASIC_RELATIONS: Tuple[CardinalDirection, ...] = _all_basic_relations()
+ALL_BASIC_RELATIONS: Tuple[CardinalDirection, ...] = tuple(
+    sorted(_BY_MASK, key=lambda r: (len(r), r.ordered_tiles()))
+)
 
 
 class DisjunctiveCD:

@@ -124,6 +124,29 @@ class TestCoherenceAfterEdit:
         assert new_relation_work + new_bulk_work <= 2 * (COUNT - 1)
         assert new_relation_work + new_bulk_work > 0
 
+    @pytest.mark.parametrize("engine", ["exact", "sweep"])
+    def test_region_added_after_matrix_is_served_fresh(self, engine):
+        configuration = make_configuration()
+        store = RelationStore(configuration, engine=engine)
+        list(store.all_relations())
+        configuration.add(
+            AnnotatedRegion(id="late", region=rect_region(-5, -5, 5, 5))
+        )
+        assert store.relation("late", "r0") == RelationStore(
+            configuration, engine=engine
+        ).relation("late", "r0")
+        fresh = RelationStore(configuration, engine=engine)
+        assert list(store.all_relations()) == list(fresh.all_relations())
+
+    def test_region_removed_and_readded_reorders_rows(self):
+        configuration = make_configuration()
+        store = RelationStore(configuration, engine="sweep")
+        list(store.all_relations())
+        store.invalidate("r0")
+        configuration.add(configuration.remove("r0"))
+        fresh = RelationStore(configuration, engine="sweep")
+        assert list(store.all_relations()) == list(fresh.all_relations())
+
     def test_targeted_invalidate_discards_percentages(self):
         configuration = make_configuration()
         store = RelationStore(configuration)

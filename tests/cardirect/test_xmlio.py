@@ -85,6 +85,38 @@ class TestExport:
         text = configuration_to_xml(make_configuration())
         assert 'type="S"' in text and 'type="NW:N:NE"' in text
 
+    @pytest.mark.parametrize("percentages", [False, True])
+    def test_relations_are_written_as_element_tree_writes_them(self, percentages):
+        """Relation lines are formatted directly; they must match the
+        element tree's own serialisation, awkward ids included."""
+        import xml.etree.ElementTree as ET
+
+        from repro.cardirect.store import RelationStore
+        from repro.cardirect.xmlio import CARDIRECT_DTD, format_percentages
+
+        configuration = make_configuration()
+        configuration.add(AnnotatedRegion("x\u00e9.1-b", rect_region(20, 0, 30, 10)))
+        configuration.add(AnnotatedRegion("tail\n", rect_region(-9, 3, -4, 6)))
+        text = configuration_to_xml(
+            configuration, include_percentages=percentages
+        )
+        image = ET.fromstring(
+            configuration_to_xml(configuration, include_relations=False)
+        )
+        store = RelationStore(configuration)
+        for primary, reference, relation in store.all_relations():
+            element = ET.SubElement(
+                image, "Relation", type=str(relation), primary=primary, reference=reference
+            )
+            if percentages:
+                element.set(
+                    "percentages",
+                    format_percentages(store.percentages(primary, reference)),
+                )
+        ET.indent(image)
+        body = ET.tostring(image, encoding="unicode")
+        assert text == f'<?xml version="1.0" encoding="UTF-8"?>\n{CARDIRECT_DTD}\n{body}\n'
+
 
 class TestImport:
     def test_roundtrip_geometry_exact(self):

@@ -64,6 +64,34 @@ class TestParseAndFormat:
             assert CardinalDirection.parse(str(relation)) == relation
 
 
+class TestMaskInterning:
+    def test_every_mask_round_trips_through_text(self):
+        for mask in range(1, 512):
+            relation = CardinalDirection.from_mask(mask)
+            assert relation.mask == mask
+            assert CardinalDirection.parse(str(relation)).mask == mask
+
+    def test_repeated_mask_returns_the_identical_object(self):
+        assert CardinalDirection.from_mask(0b101) is CardinalDirection.from_mask(0b101)
+
+    def test_interned_relations_are_the_basic_relations(self):
+        interned = {CardinalDirection.from_mask(mask) for mask in range(1, 512)}
+        assert interned == set(ALL_BASIC_RELATIONS)
+
+    def test_mask_bits_follow_tile_values(self):
+        relation = CardinalDirection.from_mask((1 << int(Tile.B)) | (1 << int(Tile.SW)))
+        assert relation == CardinalDirection("B", "SW")
+
+    @pytest.mark.parametrize("mask", [0, 512, -1])
+    def test_out_of_range_mask_rejected(self, mask):
+        with pytest.raises(RelationError):
+            CardinalDirection.from_mask(mask)
+
+    def test_text_is_memoised(self):
+        relation = CardinalDirection("SW", "B")
+        assert str(relation) is str(relation) == "B:SW"
+
+
 class TestAlgebra:
     def test_tile_union_method(self):
         """Definition 2's example: S:SW + S:E:SE + W = S:SW:W:E:SE."""
