@@ -19,19 +19,10 @@ A full :meth:`RelationStore.refresh_matrix` with a plane-capable engine
 :class:`~repro.core.plane.GeometryPlane` and runs
 :meth:`~repro.core.sweep.SweepEngine.sweep_plane` over it in-process —
 the batch executor's kernel, with no worker pool — and destroys the
-plane on every path out.  Rows the plane cannot answer exactly like the
-per-pair path stay out of the sweep:
-
-* regions with a coordinate that is not float64-exact (a ``Fraction``,
-  or an ``int`` beyond ``±2**24``): the plane rounds them and computes
-  in float64, where the row path compares and multiplies the native
-  values exactly;
-* multi-polygon regions whose polygon mbbs are not pairwise disjoint:
-  the plane's centre-in-region test takes even-odd parity over all of a
-  region's edges at once, which equals the per-polygon test only for
-  disjoint polygons (these regions still serve as reference columns);
-* regions whose mbb cannot be computed: the row path raises their error
-  with its region context.
+plane on every path out.  The plane decides which rows and columns it
+answers exactly like the per-pair path (see :mod:`repro.core.plane`);
+regions whose mbb cannot be computed stay out of it as broken, so the
+row path raises their error with its region context.
 
 Every pair the sweep leaves at mask 0, every fill by an engine without
 the plane (``exact``, ``fast``, ``guarded``, ``clipping``) and the
@@ -45,7 +36,6 @@ tracker.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple
 
 import numpy as np
@@ -62,18 +52,12 @@ from repro.errors import DeadlineExceeded, GeometryError, ReproError
 from repro.extensions.distance import DistanceFrame, minimum_distance
 from repro.extensions.topology import RCC8, rcc8
 from repro.geometry.bbox import BoundingBox
-from repro.geometry.point import Coordinate
 from repro.geometry.region import Region
 from repro.obs.metrics import current_metrics
 from repro.resilience.deadline import count_deadline_exceeded
 
 #: ``all_relations`` error policies.
 ON_ERROR_MODES = ("raise", "skip", "report")
-
-#: Largest ``int`` coordinate magnitude the plane sweep takes: products
-#: and sums in the centre-in-region test stay below float64's 53-bit
-#: mantissa, so float arithmetic matches the row path's exact ints.
-_PLANE_INT_BOUND = 1 << 24
 
 
 def _count_store_request(operation: str, result: str, count: int = 1) -> None:
@@ -89,21 +73,6 @@ def _count_store_request(operation: str, result: str, count: int = 1) -> None:
             "repro_store_requests_total",
             "RelationStore lookups, by operation and cache outcome.",
         ).inc(count, operation=operation, result=result)
-
-
-def _plane_exact(value: Coordinate) -> bool:
-    """Whether the plane's float64 kernel handles a coordinate exactly."""
-    if type(value) is float:
-        return True
-    return type(value) is int and abs(value) <= _PLANE_INT_BOUND
-
-
-def _disjoint_polygons(region: Region) -> bool:
-    """Whether the region's polygon mbbs are pairwise disjoint."""
-    if len(region.polygons) < 2:
-        return True
-    boxes = [polygon.bounding_box() for polygon in region.polygons]
-    return not any(a.intersects(b) for a, b in combinations(boxes, 2))
 
 
 class RelationStore:
@@ -265,8 +234,8 @@ class RelationStore:
         self._complete = False
 
     def _sweep_empty_rows(self, ids: Tuple[str, ...]) -> None:
-        """Fill every empty row the plane answers exactly (see the module
-        docstring for the rows it leaves to the row path) with one
+        """Fill every empty row the plane answers exactly (its
+        :meth:`~repro.core.plane.GeometryPlane.sweepable_rows`) with one
         in-process :meth:`~repro.core.sweep.SweepEngine.sweep_plane`."""
         from repro.core.plane import GeometryPlane
 
@@ -274,31 +243,24 @@ class RelationStore:
         healthy: Dict[str, Region] = {}
         boxes: Dict[str, BoundingBox] = {}
         broken: Dict[str, str] = {}
-        sweepable = np.zeros(len(ids), dtype=bool)
-        for index, region_id in enumerate(ids):
-            region = self._configuration.get(region_id).region
-            if not all(
-                _plane_exact(vertex.x) and _plane_exact(vertex.y)
-                for polygon in region.polygons
-                for vertex in polygon.vertices
-            ):
-                broken[region_id] = "coordinates not float64-exact"
-                continue
+        for region_id in ids:
             try:
                 boxes[region_id] = self._box(region_id)
             except ReproError as error:
                 broken[region_id] = str(error)
                 continue
-            healthy[region_id] = region
-            sweepable[index] = _disjoint_polygons(region)
-        rows = np.flatnonzero(sweepable & ~masks.any(axis=1))
-        if rows.size == 0 or len(healthy) < 2:
+            healthy[region_id] = self._configuration.get(region_id).region
+        if len(healthy) < 2 or masks.any(axis=1).all():
             return
         sweep_plane = getattr(self._engine, "sweep_plane")
         plane = GeometryPlane.build(
             ids, healthy=healthy, boxes=boxes, broken=broken
         )
         try:
+            rows = plane.sweepable_rows()
+            rows = rows[~masks[rows].any(axis=1)]
+            if rows.size == 0:
+                return
             done, block, _paths, _areas = sweep_plane(
                 plane, 0, rows.size, row_index=rows
             )

@@ -27,20 +27,21 @@ Two sweep accelerations ride on top of the isolation machinery:
   answer one primary against its whole row of reference boxes in a
   single call; a row whose bulk computation raises falls back to the
   per-pair loop, so fault isolation is preserved pair by pair;
-* ``workers=N`` chunks the primary rows across a **process pool** —
-  each worker recreates the engine from
-  :meth:`~repro.core.engine.Engine.worker_spec` and sweeps its chunk;
-  outcomes concatenate in chunk order (primary-major order is
-  preserved) and per-worker :class:`~repro.core.engine.EngineStats`
-  snapshots are merged into the report's stats.  Engines that speak
-  the **plane protocol** (``supports_plane``, e.g. the sweep engine)
-  take the shared-memory fast path: the parent flattens the validated
-  configuration once into a :class:`~repro.core.plane.GeometryPlane`,
-  a *persistent* supervised pool attaches to it by name at initializer
-  time, chunks shrink to index ranges sized adaptively from observed
-  chunk latency, and workers return compact tile-mask/area blocks the
-  parent assembles into outcomes — no geometry is ever pickled.
-  Engines without the protocol keep the legacy pickled-chunk pool.
+* ``workers=N`` fans index-range chunks of primary rows, sized
+  adaptively from observed chunk latency, out over one *persistent,
+  supervised* process pool.  Each worker recreates the engine from
+  :meth:`~repro.core.engine.Engine.worker_spec` and installs the
+  sweep's inputs once, in the pool initializer.  For engines that speak
+  the **plane protocol** (``supports_plane``, e.g. the sweep engine) the
+  parent flattens the validated configuration once into a
+  :class:`~repro.core.plane.GeometryPlane`, workers attach to it by
+  name and return compact tile-mask/area blocks the parent assembles
+  into outcomes — pairs the plane does not answer exactly fall back to
+  the parent's row path.  Every other engine's workers receive the
+  row-path inputs and return finished outcomes.  Outcomes keep
+  primary-major order and per-worker
+  :class:`~repro.core.engine.EngineStats` snapshots are merged into the
+  report's stats.
 
 When the observability subsystem (:mod:`repro.obs`) has sinks
 installed, the sweep is traced end to end: a ``batch.relations`` root
@@ -55,10 +56,12 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Any,
+    Callable,
     Dict,
     List,
     NamedTuple,
@@ -605,106 +608,8 @@ def _sweep_rows(
     return outcomes
 
 
-def _worker_chunk(
-    payload: dict,
-) -> Tuple[
-    List[PairOutcome],
-    dict,
-    dict,
-    Optional[list],
-    Optional[dict],
-    Optional[dict],
-    Optional[list],
-]:
-    """One worker's share of a parallel sweep (module-level: picklable).
-
-    Recreates the engine from its ``(name, options)`` spec — under the
-    default fork start method the child inherits every
-    :func:`~repro.core.engine.register_engine` registration made before
-    the pool started — sweeps its chunk of primary rows, and returns
-    the outcomes plus any *new* repair reports, a detached
-    :meth:`~repro.core.engine.EngineStats.as_dict` snapshot, and — when
-    the parent had a tracer / metrics registry / sampling profiler /
-    event log installed — the worker's serialised spans, metrics
-    snapshot, folded-stack counts and event records.  The parent grafts
-    the spans into its own trace, merges the metrics and profile, and
-    ingests the events (remapping their span links through the graft's
-    id map), so ``workers=N`` loses no telemetry to the process
-    boundary (observers excepted; see
-    :meth:`~repro.core.engine.Engine.worker_spec`).
-    """
-    chunk_index = payload.get("chunk_index", 0)
-    attempt = payload.get("attempt", 0)
-    fault_point("batch.worker", chunk=chunk_index, attempt=attempt)
-    engine_name, engine_options = payload["engine_spec"]
-    backend = create_engine(engine_name, **engine_options)
-    repairs: Dict[str, RepairReport] = dict(payload["repairs"])
-    known_repairs = set(repairs)
-    broken: Dict[str, str] = dict(payload["broken"])
-    worker_label = f"worker-{chunk_index}"
-    tracer = obs.Tracer(worker=worker_label) if payload.get("trace") else None
-    registry = obs.MetricsRegistry() if payload.get("collect_metrics") else None
-    profiler = obs.SamplingProfiler() if payload.get("profile") else None
-    events_spec = payload.get("events")
-    events_log = (
-        obs.EventLog(
-            slow_op_budgets=events_spec.get("budgets"),
-            default_slow_op_budget=events_spec.get("default"),
-            worker=worker_label,
-        )
-        if events_spec
-        else None
-    )
-    policy = payload.get("retry_policy") or DEFAULT_BATCH_RETRY_POLICY
-    with obs.tracing(tracer) if tracer is not None else nullcontext():
-        with obs.collecting(registry) if registry is not None else nullcontext():
-            with obs.emitting(events_log) if events_log is not None else nullcontext():
-                with profiler if profiler is not None else nullcontext():
-                    with obs.span(
-                        "batch.worker",
-                        chunk=chunk_index,
-                        attempt=attempt,
-                        pid=os.getpid(),
-                        primaries=len(payload["primary_ids"]),
-                    ):
-                        with obs.span(
-                            "batch.chunk",
-                            chunk=chunk_index,
-                            primaries=len(payload["primary_ids"]),
-                        ):
-                            with deadline_scope(payload.get("deadline_seconds")):
-                                outcomes = _sweep_rows(
-                                    payload["primary_ids"],
-                                    payload["all_ids"],
-                                    include_self=payload["include_self"],
-                                    healthy=payload["healthy"],
-                                    boxes=payload["boxes"],
-                                    repairs=repairs,
-                                    broken=broken,
-                                    backend=backend,
-                                    percentages=payload["percentages"],
-                                    repair=payload["repair"],
-                                    policy=policy,
-                                    attempt=attempt,
-                                )
-    new_repairs = {
-        region_id: report
-        for region_id, report in repairs.items()
-        if region_id not in known_repairs
-    }
-    return (
-        outcomes,
-        new_repairs,
-        backend.stats.as_dict(),
-        tracer.to_payload() if tracer is not None else None,
-        registry.snapshot() if registry is not None else None,
-        profiler.to_payload() if profiler is not None else None,
-        events_log.to_payload() if events_log is not None else None,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Shared-memory plane executor
+# The supervised worker pool
 # ---------------------------------------------------------------------------
 
 #: Floor on the adaptive chunk size — below this the dispatch overhead
@@ -753,8 +658,8 @@ class _ChunkSizer:
         self._size = max(_MIN_CHUNK_ROWS, min(target, self._ceiling))
 
 
-class _PlaneChunk:
-    """One index-range dispatch unit of a plane sweep."""
+class _Chunk:
+    """One index-range dispatch unit of a pooled sweep."""
 
     __slots__ = ("index", "start", "stop", "attempt", "dispatched_at")
 
@@ -772,75 +677,78 @@ class _PlaneChunk:
         return self.stop - self.start
 
 
-#: Worker-process state installed by :func:`_plane_worker_init`: the
-#: attached plane, the engine spec, and the (row, column) restriction,
-#: reused by every chunk the worker serves — the point of the
-#: persistent pool is attach once, sweep many; the restriction rides in
-#: the initargs for the same reason (constant per sweep, so it is
-#: pickled once per worker instead of once per chunk).
-_WORKER_PLANE: Optional[Any] = None
+#: Worker-process state installed by :func:`_pool_worker_init` and reused
+#: by every chunk the worker serves — the point of the persistent pool
+#: is install once, sweep many: the engine spec, the attached plane (plane
+#: engines only) and the sweep's constant inputs, shipped once per worker
+#: in ``initargs`` instead of once per chunk.
 _WORKER_ENGINE_SPEC: Optional[tuple] = None
-_WORKER_RESTRICTION: Optional[tuple] = None
+_WORKER_PLANE: Optional[Any] = None
+_WORKER_INPUTS: Optional[dict] = None
 
 
-def _plane_worker_init(
-    plane_name: str,
+def _pool_worker_init(
     engine_spec: tuple,
     generation: int,
-    restriction: Optional[tuple] = None,
+    plane_name: Optional[str],
+    inputs: dict,
 ) -> None:
-    """Pool initializer: attach this worker to the shared plane once.
+    """Pool initializer: install this worker's sweep inputs once.
+
+    A plane engine's worker attaches the shared plane by ``plane_name``
+    and its ``inputs`` carry the (row, column) restriction; any other
+    engine's worker gets the parent's row-path inputs — healthy regions,
+    boxes, repair and broken maps, the repair flag, the retry policy and
+    the row and reference id lists.
 
     ``generation`` is the supervisor's pool rebuild counter, threaded
     into the ``plane.attach`` fault-injection context so chaos tests can
     target (or spare) specific rebuilds.  An attach failure kills the
     worker during initialisation, which breaks the pool; the supervisor
     answers with a rebuild under the retry policy.
-
-    ``restriction`` is ``(row_index, column_index)`` for a
-    subset-restricted sweep (see :func:`batch_relations`'s
-    ``primaries`` / ``references``), or ``None`` for the full matrix.
     """
-    global _WORKER_PLANE, _WORKER_ENGINE_SPEC, _WORKER_RESTRICTION
-    from repro.core.plane import GeometryPlane
-
-    _WORKER_PLANE = GeometryPlane.attach(plane_name, generation=generation)
+    global _WORKER_ENGINE_SPEC, _WORKER_PLANE, _WORKER_INPUTS
     _WORKER_ENGINE_SPEC = engine_spec
-    _WORKER_RESTRICTION = restriction
+    _WORKER_INPUTS = inputs
+    if plane_name is not None:
+        from repro.core.plane import GeometryPlane
+
+        _WORKER_PLANE = GeometryPlane.attach(plane_name, generation=generation)
 
 
-def _plane_chunk(task: dict) -> tuple:
-    """One index-range chunk against the worker's attached plane.
+def _pool_chunk(task: dict) -> tuple:
+    """One ``[start, stop)`` chunk of primary rows, in a pool worker.
 
-    The task dict carries nothing but indices and flags — geometry
-    lives in the plane this worker attached at initializer time.  A
-    fresh engine per chunk keeps the stats snapshot scoped to exactly
-    this dispatch (re-dispatched chunks must not double-count).  Returns
-    ``(rows_done, masks, paths, areas, cpu_seconds, stats, spans,
-    metrics, profile, events)`` — compact numpy blocks the parent
-    assembles into outcomes, the chunk's CPU cost (feeding the adaptive
-    sizer), plus the same telemetry graft payloads the legacy worker
-    ships.
+    The task dict carries nothing but indices and flags — the sweep's
+    inputs were installed by :func:`_pool_worker_init`.  A plane
+    worker runs ``sweep_plane`` and returns ``(rows_done, masks, paths,
+    areas)`` blocks the parent assembles; a row-path worker runs
+    :func:`_sweep_rows` over shallow copies of the parent's maps (so a
+    retry-after-repair cannot leak into another chunk) and returns
+    ``(outcomes, new_repairs)``.  A fresh engine per chunk keeps the
+    stats snapshot scoped to exactly this dispatch (re-dispatched
+    chunks must not double-count).  Returns ``(block, cpu_seconds,
+    stats, spans, metrics, profile, events)``: the block, the chunk's
+    CPU cost (feeding the adaptive sizer), and — when the parent had a
+    tracer / metrics registry / sampling profiler / event log installed
+    — the worker's serialised telemetry, which the parent grafts into
+    its own sinks so ``workers=N`` loses none of it to the process
+    boundary (observers excepted; see
+    :meth:`~repro.core.engine.Engine.worker_spec`).
     """
-    plane = _WORKER_PLANE
-    spec = _WORKER_ENGINE_SPEC
-    restriction = _WORKER_RESTRICTION or (None, None)
-    if plane is None or spec is None:  # pragma: no cover - init contract
-        raise RuntimeError("plane chunk dispatched to an uninitialised worker")
+    spec, plane, inputs = _WORKER_ENGINE_SPEC, _WORKER_PLANE, _WORKER_INPUTS
+    if spec is None or inputs is None:  # pragma: no cover - init contract
+        raise RuntimeError("chunk dispatched to an uninitialised worker")
     chunk_index = task["chunk_index"]
     attempt = task["attempt"]
+    start, stop = task["start"], task["stop"]
     fault_point("batch.worker", chunk=chunk_index, attempt=attempt)
     engine_name, engine_options = spec
     backend = create_engine(engine_name, **engine_options)
-    sweep_plane = getattr(backend, "sweep_plane")
-    rows = task["stop"] - task["start"]
-    tracer = (
-        obs.Tracer(worker=f"worker-{chunk_index}")
-        if task.get("trace")
-        else None
-    )
-    registry = obs.MetricsRegistry() if task.get("collect_metrics") else None
+    rows = stop - start
     worker_label = f"worker-{chunk_index}"
+    tracer = obs.Tracer(worker=worker_label) if task.get("trace") else None
+    registry = obs.MetricsRegistry() if task.get("collect_metrics") else None
     profiler = obs.SamplingProfiler() if task.get("profile") else None
     events_spec = task.get("events")
     events_log = (
@@ -854,33 +762,64 @@ def _plane_chunk(task: dict) -> tuple:
     )
     started = time.perf_counter()
     cpu_started = time.process_time()
-    with obs.tracing(tracer) if tracer is not None else nullcontext():
-        with obs.collecting(registry) if registry is not None else nullcontext():
-            with obs.emitting(events_log) if events_log is not None else nullcontext():
-                with profiler if profiler is not None else nullcontext():
-                    with obs.span(
-                        "batch.worker",
-                        chunk=chunk_index,
-                        attempt=attempt,
-                        pid=os.getpid(),
-                        primaries=rows,
-                    ):
-                        with obs.span(
-                            "batch.chunk", chunk=chunk_index, primaries=rows
-                        ):
-                            with deadline_scope(task.get("deadline_seconds")):
-                                rows_done, masks, paths, areas = sweep_plane(
-                                    plane,
-                                    task["start"],
-                                    task["stop"],
-                                    include_self=task["include_self"],
-                                    percentages=task["percentages"],
-                                    attempt=attempt,
-                                    row_index=restriction[0],
-                                    column_index=restriction[1],
-                                )
-                                if rows_done < rows:
-                                    count_deadline_exceeded("batch.sweep")
+    with ExitStack() as scope:
+        if tracer is not None:
+            scope.enter_context(obs.tracing(tracer))
+        if registry is not None:
+            scope.enter_context(obs.collecting(registry))
+        if events_log is not None:
+            scope.enter_context(obs.emitting(events_log))
+        if profiler is not None:
+            scope.enter_context(profiler)
+        scope.enter_context(
+            obs.span(
+                "batch.worker",
+                chunk=chunk_index,
+                attempt=attempt,
+                pid=os.getpid(),
+                primaries=rows,
+            )
+        )
+        scope.enter_context(
+            obs.span("batch.chunk", chunk=chunk_index, primaries=rows)
+        )
+        scope.enter_context(deadline_scope(task.get("deadline_seconds")))
+        block: tuple
+        if plane is not None:
+            block = getattr(backend, "sweep_plane")(
+                plane,
+                start,
+                stop,
+                include_self=inputs["include_self"],
+                percentages=inputs["percentages"],
+                attempt=attempt,
+                row_index=inputs["row_index"],
+                column_index=inputs["column_index"],
+            )
+            if block[0] < rows:
+                count_deadline_exceeded("batch.sweep")
+        else:
+            repairs = dict(inputs["repairs"])
+            outcomes = _sweep_rows(
+                inputs["primary_ids"][start:stop],
+                inputs["reference_ids"],
+                include_self=inputs["include_self"],
+                healthy=dict(inputs["healthy"]),
+                boxes=dict(inputs["boxes"]),
+                repairs=repairs,
+                broken=dict(inputs["broken"]),
+                backend=backend,
+                percentages=inputs["percentages"],
+                repair=inputs["repair"],
+                policy=inputs["policy"],
+                attempt=attempt,
+            )
+            new_repairs = {
+                region_id: report
+                for region_id, report in repairs.items()
+                if region_id not in inputs["repairs"]
+            }
+            block = (outcomes, new_repairs)
     elapsed = time.perf_counter() - started
     # CPU seconds, not wall: under N-way contention the wall latency of
     # a chunk inflates with the worker count, and sizing chunks from it
@@ -889,10 +828,7 @@ def _plane_chunk(task: dict) -> tuple:
     # real per-row cost regardless of who else is running.
     cpu_seconds = time.process_time() - cpu_started
     return (
-        rows_done,
-        masks,
-        paths,
-        areas,
+        block,
         cpu_seconds if cpu_seconds > 0.0 else elapsed,
         backend.stats.as_dict(),
         tracer.to_payload() if tracer is not None else None,
@@ -914,6 +850,7 @@ def _assemble_plane_rows(
     repairs: Dict[str, RepairReport],
     broken: Dict[str, str],
     percentages: bool,
+    fill: Callable[[str, List[str]], List[PairOutcome]],
     row_lookup: Optional[Sequence[int]] = None,
     column_positions: Optional[Sequence[int]] = None,
 ) -> List[PairOutcome]:
@@ -925,6 +862,11 @@ def _assemble_plane_rows(
     :meth:`~repro.core.matrix.PercentageMatrix.from_areas` over the
     per-tile float areas in :data:`~repro.core.sweep.AREA_TILE_ORDER` —
     the same values in the same summation order as the serial kernel.
+
+    Pairs the kernel left at mask 0 (a row or column the plane does not
+    answer exactly; see :mod:`repro.core.plane`) are answered by
+    ``fill(primary_id, reference_ids)`` — the parent's row path, one
+    call per row.
 
     For a restricted sweep, ``row_lookup`` maps chunk positions to
     global plane rows and ``column_positions`` lists the reference
@@ -961,6 +903,7 @@ def _assemble_plane_rows(
     repaired_columns = (
         [region_id in repairs for region_id in ids] if any_repairs else None
     )
+    gaps: List[Tuple[int, str]] = []
     for row_offset in range(rows_done):
         position = start + row_offset
         row_index = position if row_lookup is None else row_lookup[position]
@@ -997,18 +940,10 @@ def _assemble_plane_rows(
                 )
                 continue
             mask = mask_row[column]
-            if mask == 0:  # pragma: no cover - kernel always occupies a tile
-                append(
-                    PairOutcome(
-                        primary_id,
-                        reference_id,
-                        FAILED,
-                        None,
-                        None,
-                        "plane kernel produced an empty tile mask",
-                        None,
-                    )
-                )
+            if mask == 0:
+                # Placeholder, replaced by the row path's answer below.
+                gaps.append((len(outcomes), reference_id))
+                append(PairOutcome(primary_id, reference_id, FAILED))
                 continue
             path_code = path_row[column]
             matrix: Optional[PercentageMatrix] = None
@@ -1038,10 +973,15 @@ def _assemble_plane_rows(
                     path_names[path_code],
                 )
             )
+        if gaps:
+            answers = fill(primary_id, [reference_id for _, reference_id in gaps])
+            for (at, _), answer in zip(gaps, answers):
+                outcomes[at] = answer
+            gaps.clear()
     return outcomes
 
 
-def _plane_parallel_sweep(
+def _pooled_sweep(
     all_ids: List[str],
     *,
     primaries: Optional[Sequence[str]] = None,
@@ -1058,37 +998,50 @@ def _plane_parallel_sweep(
     policy: RetryPolicy = DEFAULT_BATCH_RETRY_POLICY,
     chunk_timeout: Optional[float] = None,
 ) -> Tuple[List[PairOutcome], Dict[str, int]]:
-    """Fan the sweep out over a persistent pool sharing one plane.
+    """Fan the sweep out over the persistent supervised pool.
 
-    Builds the :class:`~repro.core.plane.GeometryPlane` once, supervises
-    the pool in :func:`_supervise_plane_pool`, and **unconditionally**
-    destroys the segment on the way out — success, crashed or hung pool,
-    deadline expiry and ``KeyboardInterrupt`` alike — so no ``/dev/shm``
-    segment can outlive the sweep.
+    For a plane engine (``supports_plane``) builds the
+    :class:`~repro.core.plane.GeometryPlane` once and **unconditionally**
+    destroys it on the way out — success, crashed or hung pool, deadline
+    expiry and ``KeyboardInterrupt`` alike — so no ``/dev/shm`` segment
+    can outlive the sweep.  Any other engine's workers get the
+    row-path inputs instead, and no plane is built.
 
     ``primaries`` / ``references`` restrict the swept pairs: the plane
     still flattens every region (positions are global, and a reference
     needs geometry whether or not it is a primary), but chunks carve
-    the restricted *row list* and workers skip non-candidate columns
-    inside the kernel.
+    the restricted *row list* and workers skip non-candidate columns.
     """
-    from repro.core.plane import GeometryPlane
-
-    # Index mapping happens *before* the plane exists: a stale id in
+    # Index mapping happens *before* any plane exists: a stale id in
     # ``primaries``/``references`` raises KeyError here, where there is
     # no segment to leak yet (RA007 — nothing fallible may sit between
     # build() and the try/finally that guarantees destroy()).
     position_of = {region_id: index for index, region_id in enumerate(all_ids)}
-    row_index = (
-        None
+    supervise = partial(
+        _supervise_pool,
+        all_ids=all_ids,
+        row_index=None
         if primaries is None
-        else tuple(position_of[region_id] for region_id in primaries)
-    )
-    column_index = (
-        None
+        else tuple(position_of[region_id] for region_id in primaries),
+        column_index=None
         if references is None
-        else tuple(position_of[region_id] for region_id in references)
+        else tuple(position_of[region_id] for region_id in references),
+        workers=workers,
+        include_self=include_self,
+        healthy=healthy,
+        boxes=boxes,
+        repairs=repairs,
+        broken=broken,
+        backend=backend,
+        percentages=percentages,
+        repair=repair,
+        policy=policy,
+        chunk_timeout=chunk_timeout,
     )
+    if not getattr(backend, "supports_plane", False):
+        return supervise(None)
+    from repro.core.plane import GeometryPlane
+
     plane = GeometryPlane.build(
         all_ids,
         healthy=healthy,
@@ -1097,33 +1050,17 @@ def _plane_parallel_sweep(
         repaired=tuple(repairs),
     )
     try:
-        return _supervise_plane_pool(
-            plane,
-            all_ids,
-            row_index=row_index,
-            column_index=column_index,
-            workers=workers,
-            include_self=include_self,
-            healthy=healthy,
-            boxes=boxes,
-            repairs=repairs,
-            broken=broken,
-            backend=backend,
-            percentages=percentages,
-            repair=repair,
-            policy=policy,
-            chunk_timeout=chunk_timeout,
-        )
+        return supervise(plane)
     finally:
         plane.destroy()
 
 
-def _supervise_plane_pool(
-    plane: Any,
-    all_ids: List[str],
+def _supervise_pool(
+    plane: Optional[Any],
     *,
-    row_index: Optional[Tuple[int, ...]] = None,
-    column_index: Optional[Tuple[int, ...]] = None,
+    all_ids: List[str],
+    row_index: Optional[Tuple[int, ...]],
+    column_index: Optional[Tuple[int, ...]],
     workers: int,
     include_self: bool,
     healthy: Dict[str, Region],
@@ -1136,14 +1073,15 @@ def _supervise_plane_pool(
     policy: RetryPolicy,
     chunk_timeout: Optional[float],
 ) -> Tuple[List[PairOutcome], Dict[str, int]]:
-    """The persistent supervised pool over an already-built plane.
+    """The persistent supervised pool, over ``plane`` or the row path.
 
-    One :class:`~concurrent.futures.ProcessPoolExecutor` lives across
-    the whole sweep (workers attach to the plane in their initializer);
-    the supervisor keeps up to ``workers`` index-range chunks in flight,
+    One :class:`~concurrent.futures.ProcessPoolExecutor` of at most
+    ``min(workers, rows)`` processes lives across the whole sweep;
+    workers attach ``plane`` by name in their initializer, or — when
+    ``plane`` is ``None`` — receive the row-path inputs there.  The
+    supervisor keeps up to that many index-range chunks in flight,
     carving chunk sizes adaptively from observed chunk latency.  Loss
-    handling keeps PR 6's guarantees with finer grain than the legacy
-    round-based pool:
+    handling:
 
     * a future that *raises* (an injected fault, a worker bug) loses
       only its own chunk — the pool survives;
@@ -1156,12 +1094,12 @@ def _supervise_plane_pool(
     (``policy.max_attempts`` bounding, backoff between attempts); chunks
     that exhaust retries — plus anything stranded by a deadline expiry —
     run inline through :func:`_sweep_rows`, the serial last resort that
-    labels past-deadline pairs ``DEADLINE``.  Workers return partial
-    blocks when their deadline slice expires; the unswept remainder is
-    requeued as a fresh chunk so the matrix is always complete.  The
-    final outcome list is reassembled in ascending row order, so
-    primary-major order is preserved exactly no matter which attempt
-    (or the inline fallback) answered which rows.
+    labels past-deadline pairs ``DEADLINE``.  Plane workers return
+    partial blocks when their deadline slice expires; the unswept
+    remainder is requeued as a fresh chunk so the matrix is always
+    complete.  The final outcome list is reassembled in ascending row
+    order, so primary-major order is preserved exactly no matter which
+    attempt (or the inline fallback) answered which rows.
     """
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
@@ -1172,14 +1110,9 @@ def _supervise_plane_pool(
     events_log = obs.current_events()
     engine_spec = backend.worker_spec()
     deadline = current_deadline()
-    total_rows = len(all_ids) if row_index is None else len(row_index)
-    restriction = (
-        None if row_index is None and column_index is None
-        else (row_index, column_index)
-    )
-    # Inline-fallback views: chunk [start, stop) addresses positions in
-    # the restricted row list, and references keep the caller's order.
-    primary_row_ids = (
+    # Chunk [start, stop) addresses positions in the (restricted) row
+    # list; references keep the caller's order.
+    primary_ids = (
         all_ids
         if row_index is None
         else [all_ids[position] for position in row_index]
@@ -1189,25 +1122,58 @@ def _supervise_plane_pool(
         if column_index is None
         else [all_ids[position] for position in column_index]
     )
+    inputs: Dict[str, Any] = {
+        "include_self": include_self,
+        "percentages": percentages,
+    }
+    if plane is None:
+        inputs.update(
+            healthy=healthy,
+            boxes=boxes,
+            repairs=dict(repairs),
+            broken=broken,
+            repair=repair,
+            policy=policy,
+            primary_ids=primary_ids,
+            reference_ids=reference_ids,
+        )
+    else:
+        inputs.update(row_index=row_index, column_index=column_index)
+    total_rows = len(primary_ids)
+    workers = min(workers, total_rows)
     sizer = _ChunkSizer(total_rows, workers)
     stats = {"worker_failures": 0, "chunk_retries": 0, "inline_chunks": 0}
     completed: List[Tuple[int, List[PairOutcome]]] = []
-    retry_queue: List[_PlaneChunk] = []
-    exhausted: List[_PlaneChunk] = []
-    in_flight: Dict[Any, _PlaneChunk] = {}
+    retry_queue: List[_Chunk] = []
+    exhausted: List[_Chunk] = []
+    in_flight: Dict[Any, _Chunk] = {}
     next_start = 0
     next_index = 0
     generation = 0
     pool: Optional[Any] = None
+    row_path = partial(
+        _sweep_rows,
+        include_self=include_self,
+        healthy=healthy,
+        boxes=boxes,
+        repairs=repairs,
+        broken=broken,
+        backend=backend,
+        percentages=percentages,
+        repair=repair,
+        policy=policy,
+    )
 
-    def _task(chunk: _PlaneChunk) -> dict:
+    def _fill(primary_id: str, gap_ids: List[str]) -> List[PairOutcome]:
+        # ``gap_ids`` already excludes the self column unless it is wanted.
+        return row_path([primary_id], gap_ids, include_self=True)
+
+    def _task(chunk: _Chunk) -> dict:
         return {
             "chunk_index": chunk.index,
             "attempt": chunk.attempt,
             "start": chunk.start,
             "stop": chunk.stop,
-            "include_self": include_self,
-            "percentages": percentages,
             "deadline_seconds": (
                 deadline.remaining() if deadline is not None else None
             ),
@@ -1219,16 +1185,14 @@ def _supervise_plane_pool(
             ),
         }
 
-    def _count_lost(count: int, reason: str) -> None:
-        stats["worker_failures"] += count
+    def _lose(chunk: _Chunk, reason: str) -> None:
+        stats["worker_failures"] += 1
         if registry is not None:
             registry.counter(
                 "repro_worker_restart_total",
                 "Parallel batch chunk dispatches lost to worker failures.",
-            ).inc(count, reason=reason)
-        obs.emit("batch.worker_lost", "warning", count=count, reason=reason)
-
-    def _requeue(chunk: _PlaneChunk) -> None:
+            ).inc(reason=reason)
+        obs.emit("batch.worker_lost", "warning", count=1, reason=reason)
         if chunk.attempt + 1 < policy.max_attempts:
             chunk.attempt += 1
             stats["chunk_retries"] += 1
@@ -1237,17 +1201,10 @@ def _supervise_plane_pool(
         else:
             exhausted.append(chunk)
 
-    def _lose(chunk: _PlaneChunk, reason: str) -> None:
-        _count_lost(1, reason)
-        _requeue(chunk)
-
-    def _absorb(chunk: _PlaneChunk, result: tuple) -> None:
+    def _absorb(chunk: _Chunk, result: tuple) -> None:
         nonlocal next_index
         (
-            rows_done,
-            masks,
-            paths,
-            areas,
+            block,
             cpu_seconds,
             stats_snapshot,
             span_payload,
@@ -1271,6 +1228,13 @@ def _supervise_plane_pool(
                 worker=f"worker-{chunk.index}",
                 span_map=span_id_map or None,
             )
+        if plane is None:
+            chunk_outcomes, new_repairs = block
+            repairs.update(new_repairs)
+            sizer.observe(chunk.rows, cpu_seconds)
+            completed.append((chunk.start, chunk_outcomes))
+            return
+        rows_done, masks, paths, areas = block
         if rows_done > 0:
             sizer.observe(rows_done, cpu_seconds)
             completed.append(
@@ -1287,6 +1251,7 @@ def _supervise_plane_pool(
                         repairs=repairs,
                         broken=broken,
                         percentages=percentages,
+                        fill=_fill,
                         row_lookup=row_index,
                         column_positions=column_index,
                     ),
@@ -1298,7 +1263,7 @@ def _supervise_plane_pool(
             # re-dispatched, under an expired one the inline fallback
             # below labels it DEADLINE.
             retry_queue.append(
-                _PlaneChunk(next_index, chunk.start + rows_done, chunk.stop)
+                _Chunk(next_index, chunk.start + rows_done, chunk.stop)
             )
             next_index += 1
 
@@ -1329,7 +1294,7 @@ def _supervise_plane_pool(
                             time.sleep(pause)
                 else:
                     size = sizer.next_size(total_rows - next_start)
-                    chunk = _PlaneChunk(
+                    chunk = _Chunk(
                         next_index, next_start, next_start + size
                     )
                     next_index += 1
@@ -1337,17 +1302,17 @@ def _supervise_plane_pool(
                 if pool is None:
                     pool = ProcessPoolExecutor(
                         max_workers=workers,
-                        initializer=_plane_worker_init,
+                        initializer=_pool_worker_init,
                         initargs=(
-                            plane.name,
                             engine_spec,
                             generation,
-                            restriction,
+                            None if plane is None else plane.name,
+                            inputs,
                         ),
                     )
                 chunk.dispatched_at = time.monotonic()
                 try:
-                    future = pool.submit(_plane_chunk, _task(chunk))
+                    future = pool.submit(_pool_chunk, _task(chunk))
                 except BrokenProcessPool:
                     _lose(chunk, "broken_pool")
                     generation += 1
@@ -1402,25 +1367,13 @@ def _supervise_plane_pool(
                     # gone, so the chunk goes straight to the exhausted
                     # pile and the inline fallback labels its pairs
                     # DEADLINE.
-                    count_deadline_exceeded("batch.plane")
+                    count_deadline_exceeded("batch.pool")
                     exhausted.append(finished)
-                except Exception as error:
+                except Exception as error:  # repro: noqa[RA006] -- _lose counts it
                     # The worker raised (e.g. an injected fault): the
                     # chunk is lost but the pool survives — no rebuild.
-                    stats["worker_failures"] += 1
-                    if registry is not None:
-                        registry.counter(
-                            "repro_worker_restart_total",
-                            "Parallel batch chunk dispatches lost "
-                            "to worker failures.",
-                        ).inc(reason=type(error).__name__)
-                    obs.emit(
-                        "batch.worker_lost",
-                        "warning",
-                        count=1,
-                        reason=type(error).__name__,
-                    )
-                    _requeue(finished)
+                    # _lose increments repro_worker_restart_total.
+                    _lose(finished, type(error).__name__)
                 else:
                     _absorb(finished, result)
             if pool_broken:
@@ -1434,12 +1387,13 @@ def _supervise_plane_pool(
     finally:
         _shutdown_pool(abandon=bool(in_flight))
 
+
     # Whatever the pool never answered: chunks that exhausted their
     # retries, anything stranded in flight / queued by deadline expiry,
     # plus the rows never carved at all.
     leftovers = exhausted + retry_queue + list(in_flight.values())
     if next_start < total_rows:
-        leftovers.append(_PlaneChunk(next_index, next_start, total_rows))
+        leftovers.append(_Chunk(next_index, next_start, total_rows))
         next_index += 1
     if leftovers:
         leftovers.sort(key=lambda record: record.start)
@@ -1454,18 +1408,9 @@ def _supervise_plane_pool(
                 completed.append(
                     (
                         record.start,
-                        _sweep_rows(
-                            primary_row_ids[record.start : record.stop],
+                        row_path(
+                            primary_ids[record.start : record.stop],
                             reference_ids,
-                            include_self=include_self,
-                            healthy=healthy,
-                            boxes=boxes,
-                            repairs=repairs,
-                            broken=broken,
-                            backend=backend,
-                            percentages=percentages,
-                            repair=repair,
-                            policy=policy,
                             attempt=policy.max_attempts,
                         ),
                     )
@@ -1475,6 +1420,7 @@ def _supervise_plane_pool(
     for _, chunk_outcomes in completed:
         outcomes.extend(chunk_outcomes)
     return outcomes, stats
+
 
 
 def batch_relations(
@@ -1520,7 +1466,8 @@ def batch_relations(
     which raise nothing) are caught, not just crashes.
 
     ``workers=N`` (N > 1) chunks the primary rows across a process
-    pool: each worker recreates the engine from
+    pool of at most ``min(N, rows)`` workers, the same supervised pool
+    for every engine: each worker recreates the engine from
     :meth:`~repro.core.engine.Engine.worker_spec` and sweeps its chunk;
     outcomes keep primary-major order and per-worker stats are merged
     into ``report.engine_stats``.  Validation and up-front repair still
@@ -1611,12 +1558,7 @@ def batch_relations(
             percentages=percentages,
         ) as batch_span:
             if workers is not None and workers > 1 and len(primary_ids) > 1:
-                parallel = (
-                    _plane_parallel_sweep
-                    if getattr(backend, "supports_plane", False)
-                    else _parallel_sweep
-                )
-                outcomes, supervision = parallel(
+                outcomes, supervision = _pooled_sweep(
                     all_ids,
                     primaries=primaries,
                     references=references,
@@ -1682,250 +1624,6 @@ def batch_relations(
     )
 
 
-def _parallel_sweep(
-    all_ids: List[str],
-    *,
-    primaries: Optional[Sequence[str]] = None,
-    references: Optional[Sequence[str]] = None,
-    workers: int,
-    include_self: bool,
-    healthy: Dict[str, Region],
-    boxes: Dict[str, BoundingBox],
-    repairs: Dict[str, RepairReport],
-    broken: Dict[str, str],
-    backend: Engine,
-    percentages: bool,
-    repair: bool,
-    policy: RetryPolicy = DEFAULT_BATCH_RETRY_POLICY,
-    chunk_timeout: Optional[float] = None,
-) -> Tuple[List[PairOutcome], Dict[str, int]]:
-    """Fan the primary rows out over a *supervised* process pool.
-
-    Primaries are split into ``workers`` contiguous chunks.  Each retry
-    round submits every still-pending chunk to a fresh pool (a crashed
-    worker breaks its whole :class:`~concurrent.futures.
-    ProcessPoolExecutor`, so surviving a crash means surviving the
-    pool) and collects results in **completion order** — a slow chunk 0
-    no longer blocks merging the telemetry of finished chunks.  Chunks
-    whose future raises (``BrokenProcessPool``, a worker killed
-    mid-task) or that outlive ``chunk_timeout`` / the current deadline
-    are re-dispatched next round with an incremented ``attempt``, up to
-    ``policy.max_attempts`` rounds, with the policy's backoff between
-    rounds; whatever is still unanswered then runs inline, serially, in
-    the parent — the last resort that cannot crash away.  The final
-    outcome list is reassembled by chunk index, so primary-major order
-    is preserved exactly no matter which round answered which chunk.
-
-    When a tracer / metrics registry is installed, each worker collects
-    its own spans and metric series and ships them back serialised;
-    they are grafted under the caller's current span (one
-    ``batch.worker`` → ``batch.chunk`` subtree per chunk) and merged
-    into the installed registry, so one coherent trace covers the whole
-    fan-out.  Lost dispatches are counted in
-    ``repro_worker_restart_total`` and the returned supervision stats
-    (``worker_failures`` / ``chunk_retries`` / ``inline_chunks``).
-    """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    tracer = obs.current_tracer()
-    registry = obs.current_metrics()
-    profiler = obs.current_profiler()
-    events_log = obs.current_events()
-    engine_spec = backend.worker_spec()
-    deadline = current_deadline()
-    primary_ids = list(primaries) if primaries is not None else all_ids
-    reference_ids = list(references) if references is not None else all_ids
-    chunk_size = -(-len(primary_ids) // workers)  # ceil division
-    chunks = [
-        primary_ids[start : start + chunk_size]
-        for start in range(0, len(primary_ids), chunk_size)
-    ]
-
-    def _payload(index: int, attempt: int) -> dict:
-        return {
-            "engine_spec": engine_spec,
-            "primary_ids": chunks[index],
-            "all_ids": reference_ids,
-            "include_self": include_self,
-            "healthy": healthy,
-            "boxes": boxes,
-            "repairs": repairs,
-            "broken": broken,
-            "percentages": percentages,
-            "repair": repair,
-            "chunk_index": index,
-            "attempt": attempt,
-            "retry_policy": policy,
-            "deadline_seconds": (
-                deadline.remaining() if deadline is not None else None
-            ),
-            "trace": tracer is not None,
-            "collect_metrics": registry is not None,
-            "profile": profiler is not None,
-            "events": (
-                events_log.budget_spec() if events_log is not None else None
-            ),
-        }
-
-    results: Dict[int, List[PairOutcome]] = {}
-    stats = {"worker_failures": 0, "chunk_retries": 0, "inline_chunks": 0}
-
-    def _absorb(index: int, result: tuple) -> None:
-        (
-            chunk_outcomes,
-            new_repairs,
-            stats_snapshot,
-            span_payload,
-            metrics_snapshot,
-            profile_payload,
-            events_payload,
-        ) = result
-        results[index] = chunk_outcomes
-        repairs.update(new_repairs)
-        backend.stats.merge(stats_snapshot)
-        span_id_map: Dict[str, str] = {}
-        if span_payload and tracer is not None:
-            tracer.ingest(
-                span_payload, worker=f"worker-{index}", id_map=span_id_map
-            )
-        if metrics_snapshot and registry is not None:
-            registry.merge(metrics_snapshot)
-        if profile_payload and profiler is not None:
-            profiler.merge(profile_payload)
-        if events_payload and events_log is not None:
-            events_log.ingest(
-                events_payload,
-                worker=f"worker-{index}",
-                span_map=span_id_map or None,
-            )
-
-    def _count_lost(count: int, reason: str) -> None:
-        stats["worker_failures"] += count
-        if registry is not None:
-            registry.counter(
-                "repro_worker_restart_total",
-                "Parallel batch chunk dispatches lost to worker failures.",
-            ).inc(count, reason=reason)
-        obs.emit("batch.worker_lost", "warning", count=count, reason=reason)
-
-    pending = list(range(len(chunks)))
-    for round_number in range(policy.max_attempts):
-        if not pending:
-            break
-        if deadline is not None and deadline.expired():
-            break
-        if round_number:
-            stats["chunk_retries"] += len(pending)
-            for index in pending:
-                count_retry("batch.chunk")
-            pause = policy.delay(round_number - 1, key="batch.chunk")
-            if deadline is not None:
-                pause = min(pause, deadline.remaining())
-            if pause > 0.0:
-                time.sleep(pause)
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
-        lost: List[int] = []
-        waiting: set = set()
-        try:
-            futures = {
-                pool.submit(_worker_chunk, _payload(index, round_number)): index
-                for index in pending
-            }
-            waiting = set(futures)
-            dispatched_at = time.monotonic()
-            while waiting:
-                budget: Optional[float] = None
-                if chunk_timeout is not None:
-                    budget = max(
-                        0.0,
-                        chunk_timeout - (time.monotonic() - dispatched_at),
-                    )
-                if deadline is not None:
-                    grace = deadline.remaining() + _DEADLINE_GRACE
-                    budget = grace if budget is None else min(budget, grace)
-                done, waiting = wait(
-                    waiting, timeout=budget, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    # Timed out: every still-running chunk is lost this
-                    # round (a hung worker cannot be cancelled, only
-                    # abandoned — the fresh pool next round leaves it
-                    # behind).
-                    lost.extend(futures[future] for future in waiting)
-                    _count_lost(len(waiting), "timeout")
-                    break
-                for future in done:
-                    index = futures[future]
-                    try:
-                        _absorb(index, future.result())
-                    except BrokenProcessPool:
-                        lost.append(index)
-                        _count_lost(1, "broken_pool")
-                    except DeadlineExceeded:
-                        # Deadline expiry is not a worker failure: the
-                        # inline fallback labels the chunk's pairs
-                        # DEADLINE instead of burning a retry.
-                        count_deadline_exceeded("batch.sweep")
-                        lost.append(index)
-                    except Exception as error:
-                        # A worker died mid-chunk or returned garbage;
-                        # either way the chunk is re-dispatched, so a
-                        # failure here costs latency, not pairs.
-                        lost.append(index)
-                        stats["worker_failures"] += 1
-                        if registry is not None:
-                            registry.counter(
-                                "repro_worker_restart_total",
-                                "Parallel batch chunk dispatches lost "
-                                "to worker failures.",
-                            ).inc(reason=type(error).__name__)
-                        obs.emit(
-                            "batch.worker_lost",
-                            "warning",
-                            count=1,
-                            reason=type(error).__name__,
-                        )
-        finally:
-            # Join the pool's internals unless a chunk is genuinely hung
-            # (then the management thread is stuck behind the hung task
-            # and can only be abandoned).  Joining where possible closes
-            # the executor's wakeup pipe cleanly, so interpreter-exit
-            # housekeeping never races a half-closed descriptor.
-            pool.shutdown(wait=not waiting, cancel_futures=True)
-        pending = sorted(lost)
-    if pending:
-        # Last resort: run the unanswered chunks serially in the parent.
-        # Under an expired deadline _sweep_rows labels every pair
-        # DEADLINE, so the matrix is complete either way.
-        stats["inline_chunks"] = len(pending)
-        for index in pending:
-            with obs.span(
-                "batch.chunk",
-                chunk=index,
-                primaries=len(chunks[index]),
-                inline=True,
-            ):
-                results[index] = _sweep_rows(
-                    chunks[index],
-                    reference_ids,
-                    include_self=include_self,
-                    healthy=healthy,
-                    boxes=boxes,
-                    repairs=repairs,
-                    broken=broken,
-                    backend=backend,
-                    percentages=percentages,
-                    repair=repair,
-                    policy=policy,
-                    attempt=policy.max_attempts,
-                )
-    outcomes: List[PairOutcome] = []
-    for index in range(len(chunks)):
-        outcomes.extend(results[index])
-    return outcomes, stats
-
-
 def _retry_after_repair(
     primary_id: str,
     reference_id: str,
@@ -1972,3 +1670,4 @@ def _retry_after_repair(
         percentages=matrix,
         path=path,
     )
+

@@ -265,10 +265,10 @@ class Engine:
 
     #: Whether the engine implements the index-addressed
     #: ``sweep_plane(plane, start, stop, ...)`` protocol over a
-    #: shared-memory :class:`~repro.core.plane.GeometryPlane`.  The
-    #: parallel batch executor uses it to skip pickling geometry into
-    #: worker chunks; engines without it take the legacy pickled-chunk
-    #: path under ``workers=N``.
+    #: shared-memory :class:`~repro.core.plane.GeometryPlane`.  Under
+    #: ``workers=N`` the batch pool's workers then attach the plane and
+    #: sweep index ranges; engines without it run the row path in the
+    #: same pool's workers.
     supports_plane: bool = False
 
     def __init__(

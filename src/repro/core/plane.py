@@ -1,21 +1,19 @@
 """The shared-memory geometry plane: one flattened configuration, N processes.
 
-``batch_relations(workers=N)`` historically pickled region geometry,
-boxes and repair state into every chunk payload and rebuilt the worker
-pool (and every worker's edge arrays) each retry round — enough
-serialisation tax to make two workers *slower* than one.  The plane is
-the fix: the parent flattens a validated/repaired configuration **once**
-into columnar float64/int64 arrays backed by a single
-:class:`multiprocessing.shared_memory.SharedMemory` segment, workers
-attach by name at pool-initializer time, and a chunk dispatch shrinks to
-a tuple of row indices.
+The parent flattens a validated/repaired configuration **once** into
+columnar float64/int64 arrays backed by a single
+:class:`multiprocessing.shared_memory.SharedMemory` segment; the
+supervised worker pool of ``batch_relations(workers=N)`` attaches by
+name at pool-initializer time, so a chunk dispatch is a pair of row
+indices, never pickled geometry.  ``RelationStore.refresh_matrix``
+sweeps the same plane in-process.
 
 Segment layout (one segment, 16-byte-aligned sections)::
 
     [u64 little-endian meta length][meta JSON]
-    [offsets  int64   (n+1)]   per-region edge ranges (broken rows empty)
+    [offsets  int64   (n+1)]   per-region edge ranges (unswept rows empty)
     [boxes    float64 (n, 4)]  mbb per region: min_x, max_x, min_y, max_y
-    [health   uint8   (n)]     1 = usable, 0 = broken (box row is NaN)
+    [health   uint8   (n)]     PLANE_COLUMN | PLANE_ROW bits, 0 = unswept
     [x1 y1 x2 y2  float64 (E)] edge endpoints, concatenated in id order
 
 The meta JSON carries the id table, the broken-region reasons and the
@@ -26,14 +24,22 @@ x2, y2)`` — *not* ``(dx, dy)`` — so the exact float64 vertex values of
 are derived on attach with the same ``x2 - x1`` subtraction the serial
 kernel performs, keeping the parallel kernels bit-identical to serial.
 
-Coordinate caveat: the plane is float64.  ``int`` coordinates (and any
-float input) are preserved exactly; ``Fraction`` coordinates beyond
-float64 precision are rounded at :func:`build` time, exactly as the
-serial float kernels round them at :func:`repro.core.fast._edge_arrays`
-time — the prune path, however, compares float boxes here where the
-serial prune compares native types, so astronomically large exact
-coordinates may prune differently.  The equivalence suites cover the
-int/float workloads the repo generates.
+Exactness: :meth:`GeometryPlane.build` is the one place that decides
+which regions the float64 kernel answers exactly like the per-pair row
+path, and records it in the ``health`` bits.  Every pair the sweep
+leaves at mask 0 for a region without those bits is answered by the
+caller's row path instead:
+
+* a region with a coordinate that is not float64-exact (a
+  ``Fraction``, or an ``int`` beyond ``±2**24``) is neither a row nor a
+  column: the plane would round it and compare/multiply in float, where
+  the row path uses the native values;
+* a multi-polygon region whose polygon mbbs are not pairwise disjoint
+  is a column but not a row: the kernel's centre-in-region test takes
+  even-odd parity over all of a region's edges at once, which equals
+  the per-polygon test only for disjoint polygons (a column reads only
+  the region's mbb);
+* a broken region (no usable geometry) is neither.
 
 Lifecycle contract: the creating parent *must* call :meth:`destroy`
 (``close`` + ``unlink``) when the sweep ends — success, crash, deadline
@@ -48,17 +54,31 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import combinations
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.bbox import BoundingBox
+from repro.geometry.point import Coordinate
 from repro.geometry.region import Region
 from repro.obs.events import emit as emit_event
 from repro.resilience.faults import fault_point
 
-__all__ = ["GeometryPlane"]
+__all__ = ["GeometryPlane", "PLANE_COLUMN", "PLANE_ROW"]
+
+#: ``health`` bit: the kernel answers the region exactly as a reference
+#: column.
+PLANE_COLUMN = 1
+
+#: ``health`` bit: the kernel answers the region exactly as a primary row.
+PLANE_ROW = 2
+
+#: Largest ``int`` coordinate magnitude the plane sweep takes: products
+#: and sums in the centre-in-region test stay below float64's 53-bit
+#: mantissa, so float arithmetic matches the row path's exact ints.
+_PLANE_INT_BOUND = 1 << 24
 
 #: Section alignment inside the segment.
 _ALIGN = 16
@@ -69,6 +89,34 @@ _HEADER = struct.Struct("<Q")
 
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
+
+
+def _plane_exact(value: Coordinate) -> bool:
+    """Whether the plane's float64 kernel handles a coordinate exactly."""
+    if type(value) is float:
+        return True
+    return type(value) is int and abs(value) <= _PLANE_INT_BOUND
+
+
+def _disjoint_polygons(region: Region) -> bool:
+    """Whether the region's polygon mbbs are pairwise disjoint."""
+    if len(region.polygons) < 2:
+        return True
+    boxes = [polygon.bounding_box() for polygon in region.polygons]
+    return not any(a.intersects(b) for a, b in combinations(boxes, 2))
+
+
+def _region_health(region: Region) -> int:
+    """The ``health`` bits of one usable region (see the module docstring)."""
+    if not all(
+        _plane_exact(vertex.x) and _plane_exact(vertex.y)
+        for polygon in region.polygons
+        for vertex in polygon.vertices
+    ):
+        return 0
+    if _disjoint_polygons(region):
+        return PLANE_COLUMN | PLANE_ROW
+    return PLANE_COLUMN
 
 
 def _region_edges(region: Region) -> Tuple[list, list, list, list]:
@@ -147,10 +195,12 @@ class GeometryPlane:
         """Flatten one configuration into a fresh shared segment.
 
         ``all_ids`` fixes the row order (it must cover every key of
-        ``healthy`` and ``broken``); broken rows get zero edges, a NaN
-        box and ``health == 0`` so workers can skip them without any
-        per-id lookups.  The caller owns the returned plane and must
-        :meth:`destroy` it.
+        ``healthy`` and ``broken``).  Each healthy region's ``health``
+        bits say whether the kernel answers it exactly as a row and as a
+        column (see the module docstring); broken regions, and regions
+        that are neither, get zero edges, a NaN box and ``health == 0``
+        so workers can skip them without any per-id lookups.  The
+        caller owns the returned plane and must :meth:`destroy` it.
         """
         n = len(all_ids)
         offsets = np.zeros(n + 1, dtype=np.int64)
@@ -162,7 +212,8 @@ class GeometryPlane:
         y2_all: list = []
         for index, region_id in enumerate(all_ids):
             region = healthy.get(region_id)
-            if region is None:
+            bits = 0 if region is None else _region_health(region)
+            if region is None or not bits:
                 offsets[index + 1] = offsets[index]
                 continue
             x1_list, y1_list, x2_list, y2_list = _region_edges(region)
@@ -178,7 +229,7 @@ class GeometryPlane:
                 float(box.min_y),
                 float(box.max_y),
             )
-            health[index] = 1
+            health[index] = bits
         edge_count = int(offsets[-1])
         meta = json.dumps(
             {
@@ -305,10 +356,14 @@ class GeometryPlane:
         return self._deltas
 
     def healthy_columns(self) -> np.ndarray:
-        """Indices of usable rows (the sweep's reference columns)."""
+        """Indices of the regions the kernel takes as reference columns."""
         if self._healthy_columns is None:
-            self._healthy_columns = np.nonzero(self.health)[0]
+            self._healthy_columns = np.nonzero(self.health & PLANE_COLUMN)[0]
         return self._healthy_columns
+
+    def sweepable_rows(self) -> np.ndarray:
+        """Indices of the regions the kernel takes as primary rows."""
+        return np.nonzero(self.health & PLANE_ROW)[0]
 
     def edge_slice(self, row: int) -> Tuple[int, int]:
         """The ``[start, stop)`` edge-array range of one region row."""

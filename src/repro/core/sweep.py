@@ -74,7 +74,7 @@ BROADCAST_PATH = "broadcast"
 FAST_PATH = "fast"
 
 #: Byte codes of the per-pair path plane in :meth:`SweepEngine.sweep_plane`
-#: results (0 = not computed: broken / self / past-deadline column).
+#: results (0 = not computed: unswept / self / past-deadline column).
 PLANE_PATH_PRUNE = 1
 PLANE_PATH_BROADCAST = 2
 
@@ -530,7 +530,10 @@ class SweepEngine(Engine):
         land in full-width arrays indexed by global column:
 
         * ``masks`` — ``(rows, n)`` uint16 tile bitmask per pair
-          (``1 << int(tile)``), 0 for self / broken / unswept columns;
+          (``1 << int(tile)``), 0 for self / unswept pairs — including
+          every pair of a region whose ``health`` bits rule it out as a
+          row or column (see :mod:`repro.core.plane`), which the caller
+          answers through its row path;
         * ``paths`` — ``(rows, n)`` uint8, :data:`PLANE_PATH_PRUNE` /
           :data:`PLANE_PATH_BROADCAST` / 0 (not computed);
         * ``areas`` — ``(rows, n, 9)`` float64 per-tile areas in
@@ -555,6 +558,8 @@ class SweepEngine(Engine):
         number).  Result arrays keep their full-width ``(rows, n)``
         global-column layout either way.
         """
+        from repro.core.plane import PLANE_ROW
+
         ids = plane.ids
         offsets = plane.offsets
         health = plane.health
@@ -579,7 +584,7 @@ class SweepEngine(Engine):
             row = position if row_index is None else int(row_index[position])
             if deadline is not None and deadline.expired():
                 return row_offset, masks, paths, areas
-            if not health[row]:
+            if not health[row] & PLANE_ROW:
                 continue
             if include_self:
                 columns = healthy_columns

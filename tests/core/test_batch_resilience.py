@@ -53,9 +53,9 @@ def grid_configuration(count: int) -> Configuration:
     return Configuration.from_regions(regions)
 
 
-def serial_oracle(configuration: Configuration):
+def serial_oracle(configuration: Configuration, engine: str = "sweep"):
     """The per-pair outcomes of an undisturbed serial sweep."""
-    report = batch_relations(configuration, engine="sweep")
+    report = batch_relations(configuration, engine=engine)
     return [
         (o.primary_id, o.reference_id, o.status, o.relation)
         for o in report.outcomes
@@ -69,10 +69,14 @@ def outcome_tuples(report):
     ]
 
 
+@pytest.mark.parametrize("engine", ["sweep", "exact"])
 class TestWorkerCrashRecovery:
-    def test_killed_worker_recovers_to_serial_outcomes(self):
+    """Both worker bodies — plane chunks (sweep) and row-path chunks
+    (every other engine) — recover to the serial outcomes."""
+
+    def test_killed_worker_recovers_to_serial_outcomes(self, engine):
         configuration = grid_configuration(8)
-        expected = serial_oracle(configuration)
+        expected = serial_oracle(configuration, engine)
         with injecting(
             FaultSpec(
                 site="batch.worker",
@@ -83,7 +87,7 @@ class TestWorkerCrashRecovery:
         ):
             report = batch_relations(
                 configuration,
-                engine="sweep",
+                engine=engine,
                 workers=4,
                 retry_policy=TWO_ATTEMPTS,
             )
@@ -96,9 +100,9 @@ class TestWorkerCrashRecovery:
         assert report.chunk_retries >= 1
         assert "worker failure" in report.summary()
 
-    def test_raising_chunk_recovers_to_serial_outcomes(self):
+    def test_raising_chunk_recovers_to_serial_outcomes(self, engine):
         configuration = grid_configuration(6)
-        expected = serial_oracle(configuration)
+        expected = serial_oracle(configuration, engine)
         with injecting(
             FaultSpec(
                 site="batch.worker",
@@ -109,16 +113,16 @@ class TestWorkerCrashRecovery:
         ):
             report = batch_relations(
                 configuration,
-                engine="sweep",
+                engine=engine,
                 workers=2,
                 retry_policy=TWO_ATTEMPTS,
             )
         assert outcome_tuples(report) == expected
         assert not report.error_outcomes()
 
-    def test_hung_chunk_is_abandoned_and_redispatched(self):
+    def test_hung_chunk_is_abandoned_and_redispatched(self, engine):
         configuration = grid_configuration(4)
-        expected = serial_oracle(configuration)
+        expected = serial_oracle(configuration, engine)
         with injecting(
             FaultSpec(
                 site="batch.worker",
@@ -130,7 +134,7 @@ class TestWorkerCrashRecovery:
         ):
             report = batch_relations(
                 configuration,
-                engine="sweep",
+                engine=engine,
                 workers=2,
                 retry_policy=TWO_ATTEMPTS,
                 chunk_timeout=0.5,
@@ -141,9 +145,9 @@ class TestWorkerCrashRecovery:
         assert outcome_tuples(report) == expected
         assert report.worker_failures >= 1
 
-    def test_persistent_crash_falls_back_inline(self):
+    def test_persistent_crash_falls_back_inline(self, engine):
         configuration = grid_configuration(4)
-        expected = serial_oracle(configuration)
+        expected = serial_oracle(configuration, engine)
         with injecting(
             # No attempt filter: every pooled try of chunk 0 dies, so
             # recovery must come from the in-parent serial fallback
@@ -153,16 +157,16 @@ class TestWorkerCrashRecovery:
         ):
             report = batch_relations(
                 configuration,
-                engine="sweep",
+                engine=engine,
                 workers=2,
                 retry_policy=TWO_ATTEMPTS,
             )
         assert outcome_tuples(report) == expected
         assert report.inline_chunks >= 1
 
-    def test_env_var_faults_reach_pool_workers(self, monkeypatch):
+    def test_env_var_faults_reach_pool_workers(self, engine, monkeypatch):
         configuration = grid_configuration(6)
-        expected = serial_oracle(configuration)
+        expected = serial_oracle(configuration, engine)
         monkeypatch.setenv(
             ENV_FAULTS,
             json.dumps(
@@ -178,7 +182,7 @@ class TestWorkerCrashRecovery:
         monkeypatch.setenv(ENV_SEED, str(CHAOS_SEED))
         report = batch_relations(
             configuration,
-            engine="sweep",
+            engine=engine,
             workers=2,
             retry_policy=TWO_ATTEMPTS,
         )

@@ -5,7 +5,7 @@ the batch executor without paying for the full n x n sweep, so its
 contract is subset equality: a restricted sweep must produce exactly
 the ``primaries x references`` slice of the full sweep — same
 relations, same per-pair outcomes — on every execution path (serial,
-plane-pool workers, legacy pool workers).
+and the worker pool's plane and row-path chunks).
 """
 
 import random
@@ -94,21 +94,33 @@ class TestRestrictedSweep:
             full_relations, ids, REFERENCES
         )
 
-    @pytest.mark.parametrize("engine", ["sweep", "exact"])
+    @pytest.mark.parametrize(
+        "engine", ["clipping", "exact", "fast", "guarded", "sweep"]
+    )
     def test_workers_subset(self, configuration, full_relations, engine):
-        """Both parallel paths (plane pool for sweep, legacy pool
-        otherwise) honour the restriction."""
-        report = batch_relations(
-            configuration,
-            engine=engine,
-            workers=2,
-            primaries=PRIMARIES,
-            references=REFERENCES,
-            validate=False,
-            repair=False,
-        )
-        assert not report.error_outcomes()
-        assert report.relations() == expected_slice(
+        """The worker pool (plane chunks for sweep, row-path chunks for
+        every other engine) matches the serial call outcome for outcome
+        — status, relation, percentages, error and path — over the full
+        matrix and under the restriction."""
+        for restriction in (
+            {},
+            {"primaries": PRIMARIES, "references": REFERENCES},
+        ):
+            serial, parallel = (
+                batch_relations(
+                    configuration,
+                    engine=engine,
+                    percentages=True,
+                    workers=workers,
+                    validate=False,
+                    repair=False,
+                    **restriction,
+                )
+                for workers in (None, 2)
+            )
+            assert parallel.outcomes == serial.outcomes
+        assert not parallel.error_outcomes()
+        assert parallel.relations() == expected_slice(
             full_relations, PRIMARIES, REFERENCES
         )
 

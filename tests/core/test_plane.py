@@ -11,22 +11,25 @@ Three obligations, in order of blast radius:
 * ``workers=N`` over the plane must be *indistinguishable* from the
   serial sweep: identical outcome objects (relations, percentages,
   paths, errors) and identical repair reports, with or without fault
-  injection.
+  injection — also for regions the plane flags as not exactly
+  sweepable, whose pairs the parent answers through the row path.
 
 CI replays this module under several ``REPRO_CHAOS_SEED`` values, like
 the rest of the chaos suite.
 """
 
+import concurrent.futures
 import json
 import math
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
 from repro.cardirect.model import AnnotatedRegion, Configuration
 from repro.core.batch import _ChunkSizer, batch_relations
-from repro.core.plane import GeometryPlane
+from repro.core.plane import PLANE_COLUMN, PLANE_ROW, GeometryPlane
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.region import Region
@@ -81,6 +84,46 @@ def star_configuration(count: int, *, edges: int = 10) -> Configuration:
             AnnotatedRegion(f"g{index}", Region.from_polygon(polygon))
         )
     return Configuration.from_regions(regions)
+
+
+def rect(x0, y0, x1, y1) -> Region:
+    return Region.from_coordinates([[(x0, y0), (x0, y1), (x1, y1), (x1, y0)]])
+
+
+def twin_configuration() -> Configuration:
+    """Two overlapping squares in one region, a dot where they overlap
+    (clear of every edge: only the per-polygon centre test finds B),
+    and a far box."""
+    twin = Region.from_coordinates(
+        [
+            [(0, 0), (0, 4), (4, 4), (4, 0)],
+            [(2, 2), (2, 6), (6, 6), (6, 2)],
+        ]
+    )
+    return Configuration.from_regions(
+        [
+            AnnotatedRegion("twin", twin),
+            AnnotatedRegion("dot", rect(2.9, 2.9, 3.1, 3.1)),
+            AnnotatedRegion("far", rect(20, 20, 21, 21)),
+        ]
+    )
+
+
+def inexact_configuration() -> Configuration:
+    """Stars plus boxes whose exact coordinates clear a neighbour's mbb
+    line only before float64 rounding: ``third`` lies strictly NE of
+    ``left`` by ``1/3 - float(1/3)``, ``huge`` strictly SW of ``edge``
+    by one unit at ``2**60``.  Exact box arithmetic prunes those pairs,
+    float64 box arithmetic cannot."""
+    configuration = star_configuration(10)
+    for region_id, region in (
+        ("left", rect(-2.0, 0.0, 1 / 3, 5.0)),
+        ("third", rect(Fraction(1, 3), 10, 1, 12)),
+        ("huge", rect(0, 0, 2**60, 7)),
+        ("edge", rect(2**60 + 1, 10, 2**60 + 5, 17)),
+    ):
+        configuration.add(AnnotatedRegion(region_id, region))
+    return configuration
 
 
 def _shm_segments():
@@ -374,6 +417,105 @@ class TestSerialParity:
         assert report.outcomes == serial.outcomes
         assert report.repairs == serial.repairs
         assert report.worker_failures >= 1
+
+
+    def test_overlapping_polygons_keep_b_under_workers(self, no_leaked_segments):
+        # Regression: the pool once swept the twin row on the plane,
+        # whose even-odd centre test misses B where the squares overlap.
+        configuration = twin_configuration()
+        serial, parallel = (
+            batch_relations(
+                configuration,
+                engine="sweep",
+                validate=False,
+                repair=False,
+                workers=workers,
+            )
+            for workers in (None, 2)
+        )
+        assert str(serial.outcomes[0]) == "twin B:S:SW:W:NW:N:NE:E:SE dot"
+        assert parallel.outcomes == serial.outcomes
+
+    def test_inexact_coordinates_match_serial(self, no_leaked_segments):
+        configuration = inexact_configuration()
+        serial, parallel = (
+            batch_relations(
+                configuration,
+                engine="sweep",
+                percentages=True,
+                workers=workers,
+            )
+            for workers in (None, 2)
+        )
+        paths = {
+            (outcome.primary_id, outcome.reference_id): outcome.path
+            for outcome in serial.outcomes
+        }
+        assert paths["third", "left"] == paths["huge", "edge"] == "prune"
+        assert parallel.outcomes == serial.outcomes
+
+
+class TestPlaneFlags:
+    def test_build_flags_rows_and_columns_the_kernel_cannot_answer(
+        self, no_leaked_segments
+    ):
+        configuration = twin_configuration()
+        for annotated in inexact_configuration():
+            if annotated.id in ("third", "huge", "edge", "left"):
+                configuration.add(annotated)
+        all_ids, healthy, boxes = plane_inputs(configuration)
+        plane = GeometryPlane.build(
+            all_ids, healthy=healthy, boxes=boxes, broken={}
+        )
+        try:
+            flags = dict(zip(all_ids, plane.health.tolist()))
+            assert flags == {
+                "twin": PLANE_COLUMN,
+                "dot": PLANE_COLUMN | PLANE_ROW,
+                "far": PLANE_COLUMN | PLANE_ROW,
+                "left": PLANE_COLUMN | PLANE_ROW,
+                "third": 0,
+                "huge": 0,
+                "edge": 0,
+            }
+            assert [all_ids[row] for row in plane.sweepable_rows()] == [
+                "dot",
+                "far",
+                "left",
+            ]
+        finally:
+            plane.destroy()
+
+
+class TestPoolSizing:
+    @pytest.mark.parametrize("engine", ["sweep", "exact"])
+    def test_pool_is_capped_at_the_rows(
+        self, engine, monkeypatch, no_leaked_segments
+    ):
+        sizes = []
+        builds = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        original_build = GeometryPlane.build.__func__
+
+        def build(cls, *args, **kwargs):
+            builds.append(args[0])
+            return original_build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(GeometryPlane, "build", classmethod(build))
+        configuration = grid_configuration(3)
+        report = batch_relations(configuration, engine=engine, workers=8)
+        assert sizes == [3]
+        # Only a plane engine flattens the configuration.
+        assert len(builds) == (1 if engine == "sweep" else 0)
+        assert report.outcomes == batch_relations(
+            configuration, engine=engine
+        ).outcomes
 
 
 class TestChunkSizer:
