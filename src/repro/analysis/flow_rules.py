@@ -387,7 +387,6 @@ _WORK_CALLS = frozenset(
     {
         "_compute_pair",
         "_pair_outcome",
-        "_bulk_row",
         "_retry_pair",
         "_compose_pair",
         "compute_relation",

@@ -18,18 +18,21 @@ A full :meth:`RelationStore.refresh_matrix` with a plane-capable engine
 (``sweep``) flattens the configuration into one
 :class:`~repro.core.plane.GeometryPlane` and runs
 :meth:`~repro.core.sweep.SweepEngine.sweep_plane` over it in-process —
-the batch executor's kernel, with no worker pool — and destroys the
-plane on every path out.  The plane decides which rows and columns it
-answers exactly like the per-pair path (see :mod:`repro.core.plane`);
-regions whose mbb cannot be computed stay out of it as broken, so the
-row path raises their error with its region context.
+the batch executor's kernel, exactly as a serial ``batch_relations``
+runs it — and destroys the plane on every path out.  The plane sweeps
+every region whose coordinates are all float64-exact (see
+:mod:`repro.core.plane`); regions whose mbb cannot be computed stay out
+of it as broken, so the row path raises their error with its region
+context.
 
 Every pair the sweep leaves at mask 0, every fill by an engine without
 the plane (``exact``, ``fast``, ``guarded``, ``clipping``) and the
 row/column maintenance after an edit take the row path: one
 ``relation_many`` call per row where the engine offers it, else
-per-pair ``relation``.  The plane is imported only when a full refresh
-uses it; its shared-memory segment registers with multiprocessing's
+per-pair ``relation``.  An edit keeps the row path rather than a fresh
+plane, because building a plane flattens every region of the
+configuration.  The plane is imported only when a full refresh uses
+it; its shared-memory segment registers with multiprocessing's
 resource tracker, so the first such refresh in a process starts that
 tracker.
 """
@@ -188,8 +191,8 @@ class RelationStore:
         computes every ordered pair not yet cached: a plane-capable
         engine sweeps the empty rows through one in-process
         :class:`~repro.core.plane.GeometryPlane`, and the row path
-        (bulk row-at-a-time when the engine offers ``relation_many``)
-        fills whatever is left.  After a targeted :meth:`invalidate` /
+        (row-at-a-time when the engine offers ``relation_many``) fills
+        whatever is left.  After a targeted :meth:`invalidate` /
         :meth:`update_region`, only the dirty ids' rows and columns are
         recomputed — ``O(n)`` engine work per edited region instead of
         the ``O(n^2)`` drop-everything rebuild.  :meth:`all_relations`
@@ -234,8 +237,8 @@ class RelationStore:
         self._complete = False
 
     def _sweep_empty_rows(self, ids: Tuple[str, ...]) -> None:
-        """Fill every empty row the plane answers exactly (its
-        :meth:`~repro.core.plane.GeometryPlane.sweepable_rows`) with one
+        """Fill every empty row the plane sweeps (its
+        :meth:`~repro.core.plane.GeometryPlane.exact_regions`) with one
         in-process :meth:`~repro.core.sweep.SweepEngine.sweep_plane`."""
         from repro.core.plane import GeometryPlane
 
@@ -257,7 +260,7 @@ class RelationStore:
             ids, healthy=healthy, boxes=boxes, broken=broken
         )
         try:
-            rows = plane.sweepable_rows()
+            rows = plane.exact_regions()
             rows = rows[~masks[rows].any(axis=1)]
             if rows.size == 0:
                 return
@@ -275,7 +278,7 @@ class RelationStore:
             raise DeadlineExceeded(site="store.refresh_matrix", remaining=0.0)
 
     def _refresh_row(self, primary_id: str, ids: Tuple[str, ...]) -> None:
-        """Fill every missing ``(primary_id, *)`` relation, bulk first."""
+        """Fill every missing ``(primary_id, *)`` relation, whole row first."""
         row = self._rows[primary_id]
         masks = self._masks[row]
         missing_at = np.flatnonzero(masks == 0)
@@ -373,8 +376,8 @@ class RelationStore:
 
         In the default ``"raise"`` mode the sweep is served from the
         maintained matrix (:meth:`refresh_matrix`): the first run
-        computes it (one plane sweep for the ``sweep`` engine, bulk
-        row-at-a-time otherwise), later runs replay it with no engine
+        computes it (one plane sweep for the ``sweep`` engine, the row
+        path otherwise), later runs replay it with no engine
         work at all, and edits re-enter only the touched row/column.
         """
         if on_error not in ON_ERROR_MODES:

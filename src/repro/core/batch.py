@@ -20,28 +20,27 @@ pairwise matrix with **per-pair fault isolation**:
 The result is a :class:`BatchReport` of :class:`PairOutcome` entries —
 ``ok`` / ``repaired`` / ``error`` — never an exception for bad geometry.
 
-Two sweep accelerations ride on top of the isolation machinery:
+Engines that speak the **plane protocol** (``supports_plane``, e.g.
+:class:`~repro.core.sweep.SweepEngine`) sweep through one kernel,
+:meth:`~repro.core.sweep.SweepEngine.sweep_plane`: the parent flattens
+the validated configuration once into a
+:class:`~repro.core.plane.GeometryPlane` and a serial call sweeps it
+in-process, row by row — a row whose kernel raises is replayed pair by
+pair, so fault isolation is preserved.  Compact tile-mask/area blocks
+are assembled into outcomes in the parent; pairs the plane does not
+answer exactly fall back to the row path.  Every other engine runs the
+row path: one engine call per pair.
 
-* engines exposing the **bulk protocol** (``relation_many`` /
-  ``percentages_many``, e.g. :class:`~repro.core.sweep.SweepEngine`)
-  answer one primary against its whole row of reference boxes in a
-  single call; a row whose bulk computation raises falls back to the
-  per-pair loop, so fault isolation is preserved pair by pair;
-* ``workers=N`` fans index-range chunks of primary rows, sized
-  adaptively from observed chunk latency, out over one *persistent,
-  supervised* process pool.  Each worker recreates the engine from
-  :meth:`~repro.core.engine.Engine.worker_spec` and installs the
-  sweep's inputs once, in the pool initializer.  For engines that speak
-  the **plane protocol** (``supports_plane``, e.g. the sweep engine) the
-  parent flattens the validated configuration once into a
-  :class:`~repro.core.plane.GeometryPlane`, workers attach to it by
-  name and return compact tile-mask/area blocks the parent assembles
-  into outcomes — pairs the plane does not answer exactly fall back to
-  the parent's row path.  Every other engine's workers receive the
-  row-path inputs and return finished outcomes.  Outcomes keep
-  primary-major order and per-worker
-  :class:`~repro.core.engine.EngineStats` snapshots are merged into the
-  report's stats.
+``workers=N`` fans index-range chunks of primary rows, sized
+adaptively from observed chunk latency, out over one *persistent,
+supervised* process pool.  Each worker recreates the engine from
+:meth:`~repro.core.engine.Engine.worker_spec` and installs the sweep's
+inputs once, in the pool initializer: plane engines' workers attach
+the plane by name and run the same ``sweep_plane`` over their chunk,
+every other engine's workers receive the row-path inputs and return
+finished outcomes.  Outcomes keep primary-major order and per-worker
+:class:`~repro.core.engine.EngineStats` snapshots are merged into the
+report's stats, so serial and ``workers=N`` agree outcome for outcome.
 
 When the observability subsystem (:mod:`repro.obs`) has sinks
 installed, the sweep is traced end to end: a ``batch.relations`` root
@@ -58,10 +57,8 @@ import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from functools import partial
 from typing import (
     Any,
-    Callable,
     Dict,
     List,
     NamedTuple,
@@ -289,54 +286,6 @@ def _try_repair_into(
     return repaired
 
 
-def _supports_bulk(engine: Engine) -> bool:
-    """Whether the engine answers whole rows (the bulk protocol)."""
-    return hasattr(engine, "relation_many") and hasattr(
-        engine, "percentages_many"
-    )
-
-
-def _bulk_row(
-    primary_id: str,
-    reference_ids: Sequence[str],
-    healthy: Dict[str, Region],
-    boxes: Dict[str, BoundingBox],
-    repairs: Dict[str, RepairReport],
-    *,
-    backend: Engine,
-    percentages: bool,
-) -> Dict[str, PairOutcome]:
-    """One primary against its whole reference row, in one bulk call.
-
-    Raises whatever the engine raises — the caller catches and replays
-    the row pair by pair so one bad pair cannot poison its neighbours.
-    """
-    primary = healthy[primary_id]
-    row_boxes = [boxes[reference_id] for reference_id in reference_ids]
-    relations = backend.relation_many(primary, row_boxes)
-    matrices = (
-        backend.percentages_many(primary, row_boxes) if percentages else None
-    )
-    row: Dict[str, PairOutcome] = {}
-    for index, reference_id in enumerate(reference_ids):
-        relation, path = relations[index]
-        matrix: Optional[PercentageMatrix] = None
-        if matrices is not None:
-            matrix, matrix_path = matrices[index]
-            if matrix_path is not None and matrix_path != path:
-                path = f"{path}/{matrix_path}"
-        repaired_pair = primary_id in repairs or reference_id in repairs
-        row[reference_id] = PairOutcome(
-            primary_id,
-            reference_id,
-            REPAIRED if repaired_pair else OK,
-            relation=relation,
-            percentages=matrix,
-            path=path,
-        )
-    return row
-
-
 def _deadline_outcome(
     primary_id: str, reference_id: str, detail: str = ""
 ) -> PairOutcome:
@@ -506,25 +455,22 @@ def _sweep_rows(
     percentages: bool,
     repair: bool,
     policy: RetryPolicy = DEFAULT_BATCH_RETRY_POLICY,
-    attempt: int = 0,
 ) -> List[PairOutcome]:
-    """The primary-major sweep over ``primary_ids`` × ``all_ids``.
+    """The row path: the primary-major sweep over ``primary_ids`` ×
+    ``all_ids``, pair by pair.
 
-    Rows go through the engine's bulk protocol when it offers one,
-    falling back to the per-pair loop (with its per-pair fault
-    isolation and retry-after-repair) when the bulk call raises.
-    Mutates ``healthy`` / ``boxes`` / ``repairs`` as retries repair
-    regions, exactly like the per-pair loop always has.
+    Each pair gets its own fault isolation and retry-after-repair (see
+    :func:`_pair_outcome`).  Mutates ``healthy`` / ``boxes`` /
+    ``repairs`` as retries repair regions, so later pairs reuse the
+    repaired geometry.
 
     The current deadline (contextvar) is checked once per row and once
     per pair: when it expires, every unreached pair is emitted as a
     ``DEADLINE`` outcome, so the output always covers the full
     ``primary_ids`` × ``all_ids`` matrix — partial work is labelled,
-    never silently dropped.  ``attempt`` is the chunk dispatch attempt,
-    threaded into the ``batch.row`` fault-injection context.
+    never silently dropped.
     """
     outcomes: List[PairOutcome] = []
-    use_bulk = _supports_bulk(backend)
     deadline = current_deadline()
     for position, primary_id in enumerate(primary_ids):
         if deadline is not None and deadline.expired():
@@ -536,75 +482,43 @@ def _sweep_rows(
                     if include_self or reference_id != late_primary
                 )
             break
-        reference_ids = [
-            reference_id
-            for reference_id in all_ids
-            if include_self or reference_id != primary_id
-        ]
-        row: Dict[str, PairOutcome] = {}
-        computable: List[str] = []
-        for reference_id in reference_ids:
+        for reference_id in all_ids:
+            if not include_self and reference_id == primary_id:
+                continue
             unusable = [
                 region_id
                 for region_id in (primary_id, reference_id)
                 if region_id in broken
             ]
             if unusable:
-                row[reference_id] = PairOutcome(
-                    primary_id,
-                    reference_id,
-                    FAILED,
-                    error="; ".join(
-                        f"region {region_id!r} unusable: {broken[region_id]}"
-                        for region_id in unusable
-                    ),
-                )
-            else:
-                computable.append(reference_id)
-        if use_bulk and computable:
-            try:
-                fault_point("batch.row", primary=primary_id, attempt=attempt)
-                row.update(
-                    _bulk_row(
+                outcomes.append(
+                    PairOutcome(
                         primary_id,
-                        computable,
+                        reference_id,
+                        FAILED,
+                        error="; ".join(
+                            f"region {region_id!r} unusable: {broken[region_id]}"
+                            for region_id in unusable
+                        ),
+                    )
+                )
+            elif deadline is not None and deadline.expired():
+                outcomes.append(_deadline_outcome(primary_id, reference_id))
+            else:
+                outcomes.append(
+                    _pair_outcome(
+                        primary_id,
+                        reference_id,
                         healthy,
                         boxes,
                         repairs,
+                        broken,
                         backend=backend,
                         percentages=percentages,
+                        repair=repair,
+                        policy=policy,
                     )
                 )
-                computable = []
-            except DeadlineExceeded as error:
-                row.update(
-                    {
-                        reference_id: _deadline_outcome(
-                            primary_id, reference_id, str(error)
-                        )
-                        for reference_id in computable
-                    }
-                )
-                computable = []
-            except ReproError:
-                pass  # replay the row pair by pair below
-        for reference_id in computable:
-            if deadline is not None and deadline.expired():
-                row[reference_id] = _deadline_outcome(primary_id, reference_id)
-                continue
-            row[reference_id] = _pair_outcome(
-                primary_id,
-                reference_id,
-                healthy,
-                boxes,
-                repairs,
-                broken,
-                backend=backend,
-                percentages=percentages,
-                repair=repair,
-                policy=policy,
-            )
-        outcomes.extend(row[reference_id] for reference_id in reference_ids)
     return outcomes
 
 
@@ -812,7 +726,6 @@ def _pool_chunk(task: dict) -> tuple:
                 percentages=inputs["percentages"],
                 repair=inputs["repair"],
                 policy=inputs["policy"],
-                attempt=attempt,
             )
             new_repairs = {
                 region_id: report
@@ -838,41 +751,116 @@ def _pool_chunk(task: dict) -> tuple:
     )
 
 
+@dataclass
+class _Sweep:
+    """One sweep's inputs, shared by the parent's serial, assembly and
+    last-resort paths.
+
+    ``primary_ids`` / ``reference_ids`` are the swept rows and columns
+    in the caller's order; ``row_index`` / ``column_index`` are their
+    positions in ``all_ids`` (the plane's row order), ``None`` for the
+    full matrix.
+    """
+
+    all_ids: List[str]
+    primary_ids: List[str]
+    reference_ids: List[str]
+    row_index: Optional[Tuple[int, ...]]
+    column_index: Optional[Tuple[int, ...]]
+    include_self: bool
+    healthy: Dict[str, Region]
+    boxes: Dict[str, BoundingBox]
+    repairs: Dict[str, RepairReport]
+    broken: Dict[str, str]
+    backend: Engine
+    percentages: bool
+    repair: bool
+    policy: RetryPolicy
+
+    def row_path(
+        self,
+        primary_ids: Sequence[str],
+        reference_ids: Sequence[str],
+        *,
+        include_self: Optional[bool] = None,
+    ) -> List[PairOutcome]:
+        """:func:`_sweep_rows` over this sweep's geometry and engine."""
+        return _sweep_rows(
+            primary_ids,
+            reference_ids,
+            include_self=self.include_self if include_self is None else include_self,
+            healthy=self.healthy,
+            boxes=self.boxes,
+            repairs=self.repairs,
+            broken=self.broken,
+            backend=self.backend,
+            percentages=self.percentages,
+            repair=self.repair,
+            policy=self.policy,
+        )
+
+    def inline(
+        self, plane: Optional[Any], start: int, stop: int, *, attempt: int
+    ) -> List[PairOutcome]:
+        """Rows ``[start, stop)`` swept in this process.
+
+        Without a plane this is the row path.  With one, each row runs
+        ``sweep_plane`` and is assembled by :func:`_assemble_plane_rows`
+        — the serial sweep, and the pool's last resort for chunks it
+        could not answer.  A row whose kernel raises is answered pair
+        by pair through the row path while every other row still comes
+        from the plane; once the deadline expires, the row path labels
+        every remaining pair ``DEADLINE``.
+        """
+        if plane is None:
+            return self.row_path(self.primary_ids[start:stop], self.reference_ids)
+        sweep_plane = getattr(self.backend, "sweep_plane")
+        outcomes: List[PairOutcome] = []
+        for position in range(start, stop):
+            try:
+                block = sweep_plane(
+                    plane,
+                    position,
+                    position + 1,
+                    include_self=self.include_self,
+                    percentages=self.percentages,
+                    attempt=attempt,
+                    row_index=self.row_index,
+                    column_index=self.column_index,
+                )
+            except ReproError:
+                outcomes.extend(
+                    self.row_path([self.primary_ids[position]], self.reference_ids)
+                )
+                continue
+            if not block[0]:  # the deadline expired before this row
+                outcomes.extend(
+                    self.row_path(self.primary_ids[position:stop], self.reference_ids)
+                )
+                break
+            outcomes.extend(_assemble_plane_rows(self, block, start=position))
+        return outcomes
+
+
 def _assemble_plane_rows(
-    masks: Any,
-    paths: Any,
-    areas: Any,
-    *,
-    start: int,
-    rows_done: int,
-    all_ids: Sequence[str],
-    include_self: bool,
-    repairs: Dict[str, RepairReport],
-    broken: Dict[str, str],
-    percentages: bool,
-    fill: Callable[[str, List[str]], List[PairOutcome]],
-    row_lookup: Optional[Sequence[int]] = None,
-    column_positions: Optional[Sequence[int]] = None,
+    sweep: _Sweep, block: tuple, *, start: int
 ) -> List[PairOutcome]:
-    """Worker mask/area blocks → :class:`PairOutcome` rows.
+    """A ``sweep_plane`` block → :class:`PairOutcome` rows.
 
-    Reproduces the serial outcome shape bit for bit: broken pairs carry
-    the primary-then-reference unusable message, pruned pairs the exact
-    ``{tile: 100}`` matrix, broadcast pairs a
+    ``block`` is ``(rows_done, masks, paths, areas)`` for the chunk
+    positions ``[start, start + rows_done)``.  Reproduces the row
+    path's outcome shape: broken pairs carry the primary-then-reference
+    unusable message, pruned pairs the exact ``{tile: 100}`` matrix,
+    broadcast pairs a
     :meth:`~repro.core.matrix.PercentageMatrix.from_areas` over the
-    per-tile float areas in :data:`~repro.core.sweep.AREA_TILE_ORDER` —
-    the same values in the same summation order as the serial kernel.
+    per-tile float areas in :data:`~repro.core.sweep.AREA_TILE_ORDER`.
 
-    Pairs the kernel left at mask 0 (a row or column the plane does not
-    answer exactly; see :mod:`repro.core.plane`) are answered by
-    ``fill(primary_id, reference_ids)`` — the parent's row path, one
-    call per row.
-
-    For a restricted sweep, ``row_lookup`` maps chunk positions to
-    global plane rows and ``column_positions`` lists the reference
-    columns in the caller's order (both ``None`` for the full matrix),
-    so restricted outcomes match the serial restricted sweep pair for
-    pair.
+    Pairs the kernel left at mask 0 (a row or column with a coordinate
+    that is not float64-exact; see :mod:`repro.core.plane`) are
+    answered through the row path, one call per row.  Restricted sweeps
+    map chunk positions through ``sweep.row_index`` and list columns in
+    ``sweep.column_index`` order, so outcomes follow the caller's
+    restriction pair for pair.
     """
     from repro.core.sweep import (
         AREA_TILE_ORDER,
@@ -882,19 +870,21 @@ def _assemble_plane_rows(
         prune_matrix,
     )
 
-    # The hottest loop of a parallel sweep — a million iterations at a
-    # thousand regions, so the body is tuned: numpy rows become plain
-    # lists once (scalar ndarray indexing is ~10x a list index), the
-    # self column is an integer compare (chunk positions resolve to
-    # global rows once per row), the broken/repaired lookups collapse
-    # to constants when those maps are empty (the common case), and
-    # outcomes are built positionally.
+    rows_done, masks, paths, areas = block
+    # The hottest loop of a sweep — a million iterations at a thousand
+    # regions, so the body is tuned: numpy rows become plain lists once
+    # (scalar ndarray indexing is ~10x a list index), the self column is
+    # an integer compare (chunk positions resolve to global rows once
+    # per row), the broken/repaired lookups collapse to constants when
+    # those maps are empty (the common case), and outcomes are built
+    # positionally.
+    broken, repairs = sweep.broken, sweep.repairs
+    row_lookup = sweep.row_index
     outcomes: List[PairOutcome] = []
     append = outcomes.append
-    ids = list(all_ids)
-    n = len(ids)
+    ids = sweep.all_ids
     columns_iter = (
-        range(n) if column_positions is None else list(column_positions)
+        range(len(ids)) if sweep.column_index is None else sweep.column_index
     )
     path_names = (None, PRUNE_PATH, BROADCAST_PATH)
     relation_of = CardinalDirection.from_mask
@@ -912,7 +902,7 @@ def _assemble_plane_rows(
         primary_repaired = any_repairs and primary_id in repairs
         mask_row = masks[row_offset].tolist()
         path_row = paths[row_offset].tolist()
-        self_column = -1 if include_self else row_index
+        self_column = -1 if sweep.include_self else row_index
         for column in columns_iter:
             if column == self_column:
                 continue
@@ -947,7 +937,7 @@ def _assemble_plane_rows(
                 continue
             path_code = path_row[column]
             matrix: Optional[PercentageMatrix] = None
-            if percentages:
+            if sweep.percentages:
                 if path_code == PLANE_PATH_PRUNE:
                     matrix = prune_matrix(Tile(mask.bit_length() - 1))
                 elif areas is not None:
@@ -974,103 +964,67 @@ def _assemble_plane_rows(
                 )
             )
         if gaps:
-            answers = fill(primary_id, [reference_id for _, reference_id in gaps])
+            # ``gaps`` already excludes the self column unless it is wanted.
+            answers = sweep.row_path(
+                [primary_id],
+                [reference_id for _, reference_id in gaps],
+                include_self=True,
+            )
             for (at, _), answer in zip(gaps, answers):
                 outcomes[at] = answer
             gaps.clear()
     return outcomes
 
 
-def _pooled_sweep(
-    all_ids: List[str],
-    *,
-    primaries: Optional[Sequence[str]] = None,
-    references: Optional[Sequence[str]] = None,
-    workers: int,
-    include_self: bool,
-    healthy: Dict[str, Region],
-    boxes: Dict[str, BoundingBox],
-    repairs: Dict[str, RepairReport],
-    broken: Dict[str, str],
-    backend: Engine,
-    percentages: bool,
-    repair: bool,
-    policy: RetryPolicy = DEFAULT_BATCH_RETRY_POLICY,
-    chunk_timeout: Optional[float] = None,
+def _run_sweep(
+    sweep: _Sweep, *, workers: Optional[int], chunk_timeout: Optional[float]
 ) -> Tuple[List[PairOutcome], Dict[str, int]]:
-    """Fan the sweep out over the persistent supervised pool.
+    """Sweep every row, over the supervised pool or in this process.
 
-    For a plane engine (``supports_plane``) builds the
-    :class:`~repro.core.plane.GeometryPlane` once and **unconditionally**
-    destroys it on the way out — success, crashed or hung pool, deadline
-    expiry and ``KeyboardInterrupt`` alike — so no ``/dev/shm`` segment
-    can outlive the sweep.  Any other engine's workers get the
-    row-path inputs instead, and no plane is built.
-
-    ``primaries`` / ``references`` restrict the swept pairs: the plane
-    still flattens every region (positions are global, and a reference
-    needs geometry whether or not it is a primary), but chunks carve
-    the restricted *row list* and workers skip non-candidate columns.
+    ``workers > 1`` with more than one row fans out over the pool;
+    anything else runs :meth:`_Sweep.inline` as one ``batch.chunk``.
+    For a plane engine (``supports_plane``) either way sweeps one
+    :class:`~repro.core.plane.GeometryPlane`, built here — never when
+    there are no rows — and **unconditionally** destroyed on the way
+    out (success, crashed or hung pool, deadline expiry and
+    ``KeyboardInterrupt`` alike), so no ``/dev/shm`` segment can outlive
+    the sweep.  A restricted sweep still flattens every region: plane
+    positions are global, and a reference needs geometry whether or
+    not it is a primary.
     """
-    # Index mapping happens *before* any plane exists: a stale id in
-    # ``primaries``/``references`` raises KeyError here, where there is
-    # no segment to leak yet (RA007 — nothing fallible may sit between
-    # build() and the try/finally that guarantees destroy()).
-    position_of = {region_id: index for index, region_id in enumerate(all_ids)}
-    supervise = partial(
-        _supervise_pool,
-        all_ids=all_ids,
-        row_index=None
-        if primaries is None
-        else tuple(position_of[region_id] for region_id in primaries),
-        column_index=None
-        if references is None
-        else tuple(position_of[region_id] for region_id in references),
-        workers=workers,
-        include_self=include_self,
-        healthy=healthy,
-        boxes=boxes,
-        repairs=repairs,
-        broken=broken,
-        backend=backend,
-        percentages=percentages,
-        repair=repair,
-        policy=policy,
-        chunk_timeout=chunk_timeout,
-    )
-    if not getattr(backend, "supports_plane", False):
-        return supervise(None)
+    rows = len(sweep.primary_ids)
+    supervision = {"worker_failures": 0, "chunk_retries": 0, "inline_chunks": 0}
+
+    def run(plane: Optional[Any]) -> Tuple[List[PairOutcome], Dict[str, int]]:
+        if workers is not None and workers > 1 and rows > 1:
+            return _supervise_pool(
+                plane, sweep, workers=workers, chunk_timeout=chunk_timeout
+            )
+        with obs.span("batch.chunk", chunk=0, primaries=rows):
+            return sweep.inline(plane, 0, rows, attempt=0), supervision
+
+    if not rows or not getattr(sweep.backend, "supports_plane", False):
+        return run(None)
     from repro.core.plane import GeometryPlane
 
     plane = GeometryPlane.build(
-        all_ids,
-        healthy=healthy,
-        boxes=boxes,
-        broken=broken,
-        repaired=tuple(repairs),
+        sweep.all_ids,
+        healthy=sweep.healthy,
+        boxes=sweep.boxes,
+        broken=sweep.broken,
+        repaired=tuple(sweep.repairs),
     )
     try:
-        return supervise(plane)
+        return run(plane)
     finally:
         plane.destroy()
 
 
 def _supervise_pool(
     plane: Optional[Any],
+    sweep: _Sweep,
     *,
-    all_ids: List[str],
-    row_index: Optional[Tuple[int, ...]],
-    column_index: Optional[Tuple[int, ...]],
     workers: int,
-    include_self: bool,
-    healthy: Dict[str, Region],
-    boxes: Dict[str, BoundingBox],
-    repairs: Dict[str, RepairReport],
-    broken: Dict[str, str],
-    backend: Engine,
-    percentages: bool,
-    repair: bool,
-    policy: RetryPolicy,
     chunk_timeout: Optional[float],
 ) -> Tuple[List[PairOutcome], Dict[str, int]]:
     """The persistent supervised pool, over ``plane`` or the row path.
@@ -1093,7 +1047,7 @@ def _supervise_pool(
     Lost chunks re-enter the dispatch queue with an incremented attempt
     (``policy.max_attempts`` bounding, backoff between attempts); chunks
     that exhaust retries — plus anything stranded by a deadline expiry —
-    run inline through :func:`_sweep_rows`, the serial last resort that
+    run inline through :meth:`_Sweep.inline`, the serial sweep, which
     labels past-deadline pairs ``DEADLINE``.  Plane workers return
     partial blocks when their deadline slice expires; the unswept
     remainder is requeued as a fresh chunk so the matrix is always
@@ -1108,38 +1062,27 @@ def _supervise_pool(
     registry = obs.current_metrics()
     profiler = obs.current_profiler()
     events_log = obs.current_events()
+    backend, policy, repairs = sweep.backend, sweep.policy, sweep.repairs
     engine_spec = backend.worker_spec()
     deadline = current_deadline()
-    # Chunk [start, stop) addresses positions in the (restricted) row
-    # list; references keep the caller's order.
-    primary_ids = (
-        all_ids
-        if row_index is None
-        else [all_ids[position] for position in row_index]
-    )
-    reference_ids = (
-        all_ids
-        if column_index is None
-        else [all_ids[position] for position in column_index]
-    )
     inputs: Dict[str, Any] = {
-        "include_self": include_self,
-        "percentages": percentages,
+        "include_self": sweep.include_self,
+        "percentages": sweep.percentages,
     }
     if plane is None:
         inputs.update(
-            healthy=healthy,
-            boxes=boxes,
+            healthy=sweep.healthy,
+            boxes=sweep.boxes,
             repairs=dict(repairs),
-            broken=broken,
-            repair=repair,
+            broken=sweep.broken,
+            repair=sweep.repair,
             policy=policy,
-            primary_ids=primary_ids,
-            reference_ids=reference_ids,
+            primary_ids=sweep.primary_ids,
+            reference_ids=sweep.reference_ids,
         )
     else:
-        inputs.update(row_index=row_index, column_index=column_index)
-    total_rows = len(primary_ids)
+        inputs.update(row_index=sweep.row_index, column_index=sweep.column_index)
+    total_rows = len(sweep.primary_ids)
     workers = min(workers, total_rows)
     sizer = _ChunkSizer(total_rows, workers)
     stats = {"worker_failures": 0, "chunk_retries": 0, "inline_chunks": 0}
@@ -1151,22 +1094,6 @@ def _supervise_pool(
     next_index = 0
     generation = 0
     pool: Optional[Any] = None
-    row_path = partial(
-        _sweep_rows,
-        include_self=include_self,
-        healthy=healthy,
-        boxes=boxes,
-        repairs=repairs,
-        broken=broken,
-        backend=backend,
-        percentages=percentages,
-        repair=repair,
-        policy=policy,
-    )
-
-    def _fill(primary_id: str, gap_ids: List[str]) -> List[PairOutcome]:
-        # ``gap_ids`` already excludes the self column unless it is wanted.
-        return row_path([primary_id], gap_ids, include_self=True)
 
     def _task(chunk: _Chunk) -> dict:
         return {
@@ -1234,28 +1161,11 @@ def _supervise_pool(
             sizer.observe(chunk.rows, cpu_seconds)
             completed.append((chunk.start, chunk_outcomes))
             return
-        rows_done, masks, paths, areas = block
+        rows_done = block[0]
         if rows_done > 0:
             sizer.observe(rows_done, cpu_seconds)
             completed.append(
-                (
-                    chunk.start,
-                    _assemble_plane_rows(
-                        masks,
-                        paths,
-                        areas,
-                        start=chunk.start,
-                        rows_done=rows_done,
-                        all_ids=all_ids,
-                        include_self=include_self,
-                        repairs=repairs,
-                        broken=broken,
-                        percentages=percentages,
-                        fill=_fill,
-                        row_lookup=row_index,
-                        column_positions=column_index,
-                    ),
-                )
+                (chunk.start, _assemble_plane_rows(sweep, block, start=chunk.start))
             )
         if rows_done < chunk.rows:
             # The worker's deadline slice expired mid-chunk; requeue the
@@ -1387,7 +1297,6 @@ def _supervise_pool(
     finally:
         _shutdown_pool(abandon=bool(in_flight))
 
-
     # Whatever the pool never answered: chunks that exhausted their
     # retries, anything stranded in flight / queued by deadline expiry,
     # plus the rows never carved at all.
@@ -1408,9 +1317,10 @@ def _supervise_pool(
                 completed.append(
                     (
                         record.start,
-                        row_path(
-                            primary_ids[record.start : record.stop],
-                            reference_ids,
+                        sweep.inline(
+                            plane,
+                            record.start,
+                            record.stop,
                             attempt=policy.max_attempts,
                         ),
                     )
@@ -1420,7 +1330,6 @@ def _supervise_pool(
     for _, chunk_outcomes in completed:
         outcomes.extend(chunk_outcomes)
     return outcomes, stats
-
 
 
 def batch_relations(
@@ -1453,7 +1362,7 @@ def batch_relations(
     ``engine`` selects the compute backend by registered name —
     ``"exact"`` (reference, the default), ``"fast"`` (float64 numpy),
     ``"guarded"`` (the exactness-fallback ladder), ``"clipping"``,
-    ``"sweep"`` (prune + broadcast bulk rows), or any third-party
+    ``"sweep"`` (the plane sweep: prune + broadcast rows), or any third-party
     :func:`~repro.core.engine.register_engine` registration — or as an
     :class:`~repro.core.engine.Engine` instance.  The engine's
     :class:`~repro.core.engine.EngineStats` for the sweep are threaded
@@ -1544,53 +1453,40 @@ def batch_relations(
                 f"{label} contains ids not in the configuration: "
                 f"{unknown[:5]!r}"
             )
-    primary_ids = list(primaries) if primaries is not None else all_ids
-    reference_ids = list(references) if references is not None else all_ids
-    supervision = {"worker_failures": 0, "chunk_retries": 0, "inline_chunks": 0}
+    position_of = {region_id: index for index, region_id in enumerate(all_ids)}
+    sweep = _Sweep(
+        all_ids=all_ids,
+        primary_ids=all_ids if primaries is None else list(primaries),
+        reference_ids=all_ids if references is None else list(references),
+        row_index=None
+        if primaries is None
+        else tuple(position_of[region_id] for region_id in primaries),
+        column_index=None
+        if references is None
+        else tuple(position_of[region_id] for region_id in references),
+        include_self=include_self,
+        healthy=healthy,
+        boxes=boxes,
+        repairs=repairs,
+        broken=broken,
+        backend=backend,
+        percentages=percentages,
+        repair=repair,
+        policy=policy,
+    )
     with deadline_scope(deadline):
         with obs.span(
             "batch.relations",
             engine=backend.name,
             regions=len(all_ids),
-            primaries=len(primary_ids),
-            references=len(reference_ids),
+            primaries=len(sweep.primary_ids),
+            references=len(sweep.reference_ids),
             workers=workers or 1,
             percentages=percentages,
         ) as batch_span:
-            if workers is not None and workers > 1 and len(primary_ids) > 1:
-                outcomes, supervision = _pooled_sweep(
-                    all_ids,
-                    primaries=primaries,
-                    references=references,
-                    workers=workers,
-                    include_self=include_self,
-                    healthy=healthy,
-                    boxes=boxes,
-                    repairs=repairs,
-                    broken=broken,
-                    backend=backend,
-                    percentages=percentages,
-                    repair=repair,
-                    policy=policy,
-                    chunk_timeout=chunk_timeout,
-                )
-            else:
-                with obs.span(
-                    "batch.chunk", chunk=0, primaries=len(primary_ids)
-                ):
-                    outcomes = _sweep_rows(
-                        primary_ids,
-                        reference_ids,
-                        include_self=include_self,
-                        healthy=healthy,
-                        boxes=boxes,
-                        repairs=repairs,
-                        broken=broken,
-                        backend=backend,
-                        percentages=percentages,
-                        repair=repair,
-                        policy=policy,
-                    )
+            outcomes, supervision = _run_sweep(
+                sweep, workers=workers, chunk_timeout=chunk_timeout
+            )
             failed = sum(1 for outcome in outcomes if not outcome.ok)
             deadline_hit = any(
                 outcome.status == DEADLINE for outcome in outcomes

@@ -65,8 +65,8 @@ class EngineEvent:
     """One completed engine operation, as delivered to observers.
 
     ``count`` is the number of pairs the operation answered — 1 for the
-    per-pair protocol, the row length for bulk calls (the sweep
-    engine's ``relation_many`` / ``percentages_many``).
+    per-pair protocol, the row length for the sweep engine's row calls
+    (``sweep_plane`` per row and operation, ``relation_many``).
     """
 
     engine: str
@@ -148,13 +148,17 @@ class EngineStats:
         count: int,
         paths: Optional[Mapping[str, int]] = None,
     ) -> None:
-        """Account one bulk operation that answered ``count`` boxes.
+        """Account one row operation that answered ``count`` boxes.
 
-        Used by engines with many-box entry points (the sweep engine's
-        :meth:`~repro.core.sweep.SweepEngine.relation_many`): ``calls``
-        advances by ``count`` so pairs-per-second telemetry stays
-        comparable with per-pair engines, while ``seconds`` accrues the
-        single wall-clock measurement of the whole kernel invocation.
+        Used by the sweep engine's row kernels —
+        :meth:`~repro.core.sweep.SweepEngine.sweep_plane` once per plane
+        row and operation, and
+        :meth:`~repro.core.sweep.SweepEngine.relation_many` once per
+        call: ``calls[operation]`` advances by ``count`` (so a row of
+        relations counts under ``"relation"``, never a key of its own)
+        and pairs-per-second telemetry stays comparable with per-pair
+        engines, while ``seconds`` accrues the single wall-clock
+        measurement of the whole kernel invocation.
         """
         self.calls[operation] = self.calls.get(operation, 0) + count
         self.seconds[operation] = self.seconds.get(operation, 0.0) + seconds

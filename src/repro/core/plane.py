@@ -2,44 +2,44 @@
 
 The parent flattens a validated/repaired configuration **once** into
 columnar float64/int64 arrays backed by a single
-:class:`multiprocessing.shared_memory.SharedMemory` segment; the
-supervised worker pool of ``batch_relations(workers=N)`` attaches by
-name at pool-initializer time, so a chunk dispatch is a pair of row
-indices, never pickled geometry.  ``RelationStore.refresh_matrix``
-sweeps the same plane in-process.
+:class:`multiprocessing.shared_memory.SharedMemory` segment.  Every
+batch sweep of a plane engine runs over it: a serial
+``batch_relations`` sweeps it in-process, the supervised worker pool of
+``batch_relations(workers=N)`` attaches by name at pool-initializer
+time (so a chunk dispatch is a pair of row indices, never pickled
+geometry), and ``RelationStore.refresh_matrix`` sweeps it in-process
+too.  Creating a segment registers it with multiprocessing's resource
+tracker, so the first plane built in a process starts that tracker.
 
 Segment layout (one segment, 16-byte-aligned sections)::
 
     [u64 little-endian meta length][meta JSON]
-    [offsets  int64   (n+1)]   per-region edge ranges (unswept rows empty)
+    [offsets  int64   (n+1)]   per-region edge ranges (unswept regions empty)
     [boxes    float64 (n, 4)]  mbb per region: min_x, max_x, min_y, max_y
-    [health   uint8   (n)]     PLANE_COLUMN | PLANE_ROW bits, 0 = unswept
+    [health   uint8   (n)]     1 = swept as a row and a column, 0 = unswept
     [x1 y1 x2 y2  float64 (E)] edge endpoints, concatenated in id order
+    [starts   uint8   (E)]     1 on the first edge of each polygon
 
 The meta JSON carries the id table, the broken-region reasons and the
 repaired-id list, so a worker needs nothing but the segment name to
 reconstruct sweep context.  Edge endpoints are stored as ``(x1, y1,
 x2, y2)`` — *not* ``(dx, dy)`` — so the exact float64 vertex values of
 :func:`repro.core.fast._edge_arrays` survive the round trip; the deltas
-are derived on attach with the same ``x2 - x1`` subtraction the serial
-kernel performs, keeping the parallel kernels bit-identical to serial.
+are derived on attach with the same ``x2 - x1`` subtraction the
+per-pair kernel performs.  ``starts`` splits a region's edges into its
+polygons, so the kernel's centre-of-``mbb`` test can take even-odd
+parity per polygon, as Compute-CDR tests "whether the centre of
+mbb(b) lies inside a polygon of a".
 
 Exactness: :meth:`GeometryPlane.build` is the one place that decides
 which regions the float64 kernel answers exactly like the per-pair row
-path, and records it in the ``health`` bits.  Every pair the sweep
-leaves at mask 0 for a region without those bits is answered by the
-caller's row path instead:
-
-* a region with a coordinate that is not float64-exact (a
-  ``Fraction``, or an ``int`` beyond ``±2**24``) is neither a row nor a
-  column: the plane would round it and compare/multiply in float, where
-  the row path uses the native values;
-* a multi-polygon region whose polygon mbbs are not pairwise disjoint
-  is a column but not a row: the kernel's centre-in-region test takes
-  even-odd parity over all of a region's edges at once, which equals
-  the per-polygon test only for disjoint polygons (a column reads only
-  the region's mbb);
-* a broken region (no usable geometry) is neither.
+path, and it decides one thing only — whether every coordinate is
+float64-exact (a ``float``, or an ``int`` within ``±2**24``).  Such a
+region is both a row and a column.  A region with a ``Fraction`` or a
+larger ``int`` is neither: the plane would round it and compare and
+multiply in float, where the row path uses the native values.  A
+broken region (no usable geometry) is neither too.  Every pair the
+sweep leaves at mask 0 is answered by the caller's row path instead.
 
 Lifecycle contract: the creating parent *must* call :meth:`destroy`
 (``close`` + ``unlink``) when the sweep ends — success, crash, deadline
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import json
 import struct
-from itertools import combinations
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -66,14 +65,7 @@ from repro.geometry.region import Region
 from repro.obs.events import emit as emit_event
 from repro.resilience.faults import fault_point
 
-__all__ = ["GeometryPlane", "PLANE_COLUMN", "PLANE_ROW"]
-
-#: ``health`` bit: the kernel answers the region exactly as a reference
-#: column.
-PLANE_COLUMN = 1
-
-#: ``health`` bit: the kernel answers the region exactly as a primary row.
-PLANE_ROW = 2
+__all__ = ["GeometryPlane"]
 
 #: Largest ``int`` coordinate magnitude the plane sweep takes: products
 #: and sums in the centre-in-region test stay below float64's 53-bit
@@ -98,44 +90,35 @@ def _plane_exact(value: Coordinate) -> bool:
     return type(value) is int and abs(value) <= _PLANE_INT_BOUND
 
 
-def _disjoint_polygons(region: Region) -> bool:
-    """Whether the region's polygon mbbs are pairwise disjoint."""
-    if len(region.polygons) < 2:
-        return True
-    boxes = [polygon.bounding_box() for polygon in region.polygons]
-    return not any(a.intersects(b) for a, b in combinations(boxes, 2))
-
-
-def _region_health(region: Region) -> int:
-    """The ``health`` bits of one usable region (see the module docstring)."""
-    if not all(
+def _float64_exact(region: Region) -> bool:
+    """Whether the plane sweeps the region (see the module docstring)."""
+    return all(
         _plane_exact(vertex.x) and _plane_exact(vertex.y)
         for polygon in region.polygons
         for vertex in polygon.vertices
-    ):
-        return 0
-    if _disjoint_polygons(region):
-        return PLANE_COLUMN | PLANE_ROW
-    return PLANE_COLUMN
+    )
 
 
-def _region_edges(region: Region) -> Tuple[list, list, list, list]:
+def _region_edges(region: Region) -> Tuple[list, list, list, list, list]:
     """Edge endpoints as float lists — the loop of ``_edge_arrays``,
-    keeping ``(x2, y2)`` instead of folding them into deltas."""
+    keeping ``(x2, y2)`` instead of folding them into deltas — plus the
+    per-edge polygon-start flags."""
     x1_list: list = []
     y1_list: list = []
     x2_list: list = []
     y2_list: list = []
+    starts: list = []
     for polygon in region.polygons:
         vertices = polygon.vertices
         count = len(vertices)
+        starts.extend([1] + [0] * (count - 1))
         for i in range(count):
             a, b = vertices[i], vertices[(i + 1) % count]
             x1_list.append(float(a.x))
             y1_list.append(float(a.y))
             x2_list.append(float(b.x))
             y2_list.append(float(b.y))
-    return x1_list, y1_list, x2_list, y2_list
+    return x1_list, y1_list, x2_list, y2_list, starts
 
 
 class GeometryPlane:
@@ -160,6 +143,7 @@ class GeometryPlane:
         y1: np.ndarray,
         x2: np.ndarray,
         y2: np.ndarray,
+        starts: np.ndarray,
         owner: bool,
     ) -> None:
         self._segment = segment
@@ -173,10 +157,11 @@ class GeometryPlane:
         self.y1 = y1
         self.x2 = x2
         self.y2 = y2
+        self.starts = starts
         self.owner = owner
         self._name = segment.name
         self._deltas: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._healthy_columns: Optional[np.ndarray] = None
+        self._exact_regions: Optional[np.ndarray] = None
         self._closed = False
         self._unlinked = False
 
@@ -195,12 +180,13 @@ class GeometryPlane:
         """Flatten one configuration into a fresh shared segment.
 
         ``all_ids`` fixes the row order (it must cover every key of
-        ``healthy`` and ``broken``).  Each healthy region's ``health``
-        bits say whether the kernel answers it exactly as a row and as a
-        column (see the module docstring); broken regions, and regions
-        that are neither, get zero edges, a NaN box and ``health == 0``
-        so workers can skip them without any per-id lookups.  The
-        caller owns the returned plane and must :meth:`destroy` it.
+        ``healthy`` and ``broken``).  A healthy region whose every
+        coordinate is float64-exact gets ``health == 1`` and is swept as
+        a row and as a column (see the module docstring); broken
+        regions, and regions with an inexact coordinate, get zero edges,
+        a NaN box and ``health == 0`` so the kernel skips them without
+        any per-id lookups.  The caller owns the returned plane and must
+        :meth:`destroy` it.
         """
         n = len(all_ids)
         offsets = np.zeros(n + 1, dtype=np.int64)
@@ -210,17 +196,18 @@ class GeometryPlane:
         y1_all: list = []
         x2_all: list = []
         y2_all: list = []
+        starts_all: list = []
         for index, region_id in enumerate(all_ids):
             region = healthy.get(region_id)
-            bits = 0 if region is None else _region_health(region)
-            if region is None or not bits:
+            if region is None or not _float64_exact(region):
                 offsets[index + 1] = offsets[index]
                 continue
-            x1_list, y1_list, x2_list, y2_list = _region_edges(region)
+            x1_list, y1_list, x2_list, y2_list, starts = _region_edges(region)
             x1_all.extend(x1_list)
             y1_all.extend(y1_list)
             x2_all.extend(x2_list)
             y2_all.extend(y2_list)
+            starts_all.extend(starts)
             offsets[index + 1] = offsets[index] + len(x1_list)
             box = boxes[region_id]
             box_rows[index] = (
@@ -229,11 +216,11 @@ class GeometryPlane:
                 float(box.min_y),
                 float(box.max_y),
             )
-            health[index] = bits
+            health[index] = 1
         edge_count = int(offsets[-1])
         meta = json.dumps(
             {
-                "version": 1,
+                "version": 2,
                 "n": n,
                 "edges": edge_count,
                 "ids": list(all_ids),
@@ -255,6 +242,7 @@ class GeometryPlane:
             views["y1"][:] = np.asarray(y1_all, dtype=np.float64)
             views["x2"][:] = np.asarray(x2_all, dtype=np.float64)
             views["y2"][:] = np.asarray(y2_all, dtype=np.float64)
+            views["starts"][:] = np.asarray(starts_all, dtype=np.uint8)
             emit_event(
                 "plane.build",
                 "info",
@@ -275,6 +263,7 @@ class GeometryPlane:
                 y1=views["y1"],
                 x2=views["x2"],
                 y2=views["y2"],
+                starts=views["starts"],
                 owner=True,
             )
         except BaseException:
@@ -329,6 +318,7 @@ class GeometryPlane:
             y1=views["y1"],
             x2=views["x2"],
             y2=views["y2"],
+            starts=views["starts"],
             owner=False,
         )
 
@@ -355,15 +345,12 @@ class GeometryPlane:
             self._deltas = (self.x2 - self.x1, self.y2 - self.y1)
         return self._deltas
 
-    def healthy_columns(self) -> np.ndarray:
-        """Indices of the regions the kernel takes as reference columns."""
-        if self._healthy_columns is None:
-            self._healthy_columns = np.nonzero(self.health & PLANE_COLUMN)[0]
-        return self._healthy_columns
-
-    def sweepable_rows(self) -> np.ndarray:
-        """Indices of the regions the kernel takes as primary rows."""
-        return np.nonzero(self.health & PLANE_ROW)[0]
+    def exact_regions(self) -> np.ndarray:
+        """Indices of the regions the kernel sweeps, each both as a
+        primary row and as a reference column."""
+        if self._exact_regions is None:
+            self._exact_regions = np.nonzero(self.health)[0]
+        return self._exact_regions
 
     def edge_slice(self, row: int) -> Tuple[int, int]:
         """The ``[start, stop)`` edge-array range of one region row."""
@@ -416,8 +403,9 @@ class GeometryPlane:
         self.boxes = np.empty((0, 4), dtype=np.float64)
         self.health = np.empty(0, dtype=np.uint8)
         self.x1 = self.y1 = self.x2 = self.y2 = empty_f
+        self.starts = np.empty(0, dtype=np.uint8)
         self._deltas = None
-        self._healthy_columns = None
+        self._exact_regions = None
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -459,6 +447,8 @@ def _section_layout(meta_length: int, n: int, edge_count: int) -> Dict[str, int]
     for section in ("x1", "y1", "x2", "y2"):
         layout[section] = cursor
         cursor = _aligned(cursor + edge_count * 8)
+    layout["starts"] = cursor
+    cursor = _aligned(cursor + edge_count)
     layout["total"] = max(cursor, 1)  # zero-region planes still need a byte
     return layout
 
@@ -479,4 +469,7 @@ def _section_views(
         views[section] = np.ndarray(
             (edge_count,), dtype=np.float64, buffer=buffer, offset=sections[section]
         )
+    views["starts"] = np.ndarray(
+        (edge_count,), dtype=np.uint8, buffer=buffer, offset=sections["starts"]
+    )
     return views

@@ -4,10 +4,9 @@ CARDIRECT's core workload is the all-pairs sweep — "compute the
 (percentage) relations between all regions" (Section 4 of the paper) —
 and large constraint networks (Zhang et al., *Reasoning about Cardinal
 Directions between Extended Objects*) need exactly this n×n extraction
-to be cheap before consistency checking is practical at scale.  The
-historical path was a Python pair-by-pair loop that rebuilt each
-primary's edge arrays O(n) times per sweep.  This module stacks three
-optimisations on top of the engine layer's per-primary edge cache:
+to be cheap before consistency checking is practical at scale.  This
+module stacks three optimisations on top of the engine layer's
+per-primary edge cache:
 
 1. **mbb single-tile prune** — when ``mbb(primary)`` lies *strictly*
    inside one non-``B`` tile of ``mbb(reference)``, the whole primary
@@ -16,23 +15,25 @@ optimisations on top of the engine layer's per-primary edge cache:
    arithmetic alone — exact over the native coordinate types, no edge
    scan, no float.  Boundary contact never prunes: the comparisons are
    strict, so grazing pairs take the full kernel;
-2. **broadcast kernels** — :func:`compute_cdr_fast_many` /
-   :func:`tile_areas_fast_many` classify one primary against *all*
-   reference boxes in a single ``(n_edges, n_boxes, 3)`` numpy
+2. **broadcast kernels** — one primary's edges are classified against
+   *all* reference boxes in a single ``(n_edges, n_boxes, 3)`` numpy
    invocation (:func:`repro.core.fast._axis_band_intervals_many`),
    amortising the per-call numpy dispatch overhead that dominates
    per-pair sweeps of small regions;
-3. **bulk engine entry points** — :class:`SweepEngine` (registry name
-   ``"sweep"``) serves the ordinary per-pair :class:`Engine` protocol
-   *and* ``relation_many`` / ``percentages_many``, which the batch
-   pipeline (:func:`repro.core.batch.batch_relations`) consumes one
-   primary row at a time.  Path telemetry distinguishes ``"prune"``,
-   ``"broadcast"`` and ``"fast"`` in ``EngineStats.path_counts``.
+3. **the plane sweep** — :meth:`SweepEngine.sweep_plane` runs those
+   kernels row by row over a flattened
+   :class:`~repro.core.plane.GeometryPlane`, index-addressed, with no
+   ``Region`` objects.  It is the only batch kernel: serial
+   :func:`repro.core.batch.batch_relations` runs it in-process, the
+   ``workers=N`` pool runs it in every worker, and
+   ``RelationStore.refresh_matrix`` runs it for a full refresh.
 
-The optional **parallel executor** — ``batch_relations(workers=N)`` —
-lives in :mod:`repro.core.batch`; it chunks primary rows across a
-process pool and merges per-worker :class:`EngineStats` into the
-:class:`~repro.core.batch.BatchReport`.
+:class:`SweepEngine` (registry name ``"sweep"``) also serves the
+ordinary per-pair :class:`Engine` protocol, and
+:meth:`SweepEngine.relation_many` answers one ``Region`` against a row
+of boxes through :func:`compute_cdr_fast_many` — the store's refresh of
+the row an edit dirtied.  Path telemetry distinguishes ``"prune"``,
+``"broadcast"`` and ``"fast"`` in ``EngineStats.path_counts``.
 
 Semantics: the prune path is exact; the kernel paths are float64,
 identical to :mod:`repro.core.fast` (the equivalence property tests
@@ -52,7 +53,6 @@ from repro.core.fast import (
     _TILE_GRID,
     _axis_band_intervals_many,
     _band_intervals_many,
-    _box_lines,
     compute_cdr_fast_against_box,
     tile_areas_fast,
 )
@@ -79,10 +79,10 @@ PLANE_PATH_PRUNE = 1
 PLANE_PATH_BROADCAST = 2
 
 #: The area columns of a plane-sweep percentage block, in exactly the
-#: insertion order of :func:`tile_areas_fast_many`'s per-tile dict — the
+#: insertion order of :func:`_tile_area_columns`'s per-tile dict — the
 #: order determines the float summation order of
-#: :meth:`~repro.core.matrix.PercentageMatrix.from_areas`, so keeping it
-#: identical keeps parallel percentages bit-identical to serial.
+#: :meth:`~repro.core.matrix.PercentageMatrix.from_areas` when the batch
+#: assembly rebuilds that dict from the block.
 AREA_TILE_ORDER: Tuple[Tile, ...] = (
     Tile.SW, Tile.W, Tile.NW, Tile.SE, Tile.E, Tile.NE, Tile.S, Tile.N, Tile.B,
 )
@@ -224,33 +224,6 @@ def compute_cdr_fast_many(
     return results
 
 
-def tile_areas_fast_many(
-    primary: Region,
-    boxes: Sequence[BoundingBox],
-    *,
-    arrays: Optional[Tuple[np.ndarray, ...]] = None,
-) -> List[Dict[Tile, float]]:
-    """Per-tile float areas of one primary against many boxes.
-
-    The broadcast counterpart of
-    :func:`repro.core.fast.tile_areas_fast`: the trapezoid accumulators
-    of Compute-CDR% are evaluated as ``(n_edges, n_boxes)`` masked sums
-    — one numpy pass per tile instead of one per pair per tile.
-    """
-    if not boxes:
-        return []
-    col_lo, col_hi, row_lo, row_hi, (x1, y1, dx, dy) = _band_intervals_many(
-        primary, boxes, arrays
-    )
-    per_tile = _tile_area_columns(
-        col_lo, col_hi, row_lo, row_hi, (x1, y1, dx, dy), _box_lines(boxes)
-    )
-    return [
-        {tile: float(values[j]) for tile, values in per_tile.items()}
-        for j in range(len(boxes))
-    ]
-
-
 def _tile_area_columns(
     col_lo: np.ndarray,
     col_hi: np.ndarray,
@@ -261,8 +234,10 @@ def _tile_area_columns(
 ) -> Dict[Tile, np.ndarray]:
     """The masked trapezoid sums as per-tile ``(k,)`` columns.
 
-    The array-level core of :func:`tile_areas_fast_many`, shared with
-    the plane sweep; the dict's insertion order is
+    The broadcast counterpart of :func:`repro.core.fast.tile_areas_fast`:
+    the trapezoid accumulators of Compute-CDR% are evaluated as
+    ``(n_edges, n_boxes)`` masked sums — one numpy pass per tile
+    instead of one per pair per tile.  The dict's insertion order is
     :data:`AREA_TILE_ORDER` (load-bearing — see there).
     """
     x1, y1, dx, dy = arrays
@@ -331,21 +306,21 @@ def _points_in_region(
     y1: np.ndarray,
     x2: np.ndarray,
     y2: np.ndarray,
+    polygon_starts: np.ndarray,
     px: np.ndarray,
     py: np.ndarray,
 ) -> np.ndarray:
     """Boundary-inclusive even–odd membership of points in a region.
 
-    The vectorised counterpart of running
-    :func:`repro.geometry.predicates.point_in_ring` over every ring of
-    a region — same float operations in the same order, so the plane
-    sweep's centre-of-``mbb`` test agrees bit for bit with the serial
-    kernel's.  Even–odd parity is accumulated over *all* edges at once
-    instead of per polygon; for a validated region (pairwise-disjoint
-    polygon interiors, so no polygon can sit inside another) the parity
-    over the union of rings equals the per-polygon disjunction, and any
-    boundary case is caught by the on-segment test first, exactly as in
-    the scalar predicate.
+    The vectorised counterpart of
+    :func:`repro.geometry.predicates.point_in_region` — same float
+    operations in the same order, so the plane sweep's centre-of-``mbb``
+    test agrees bit for bit with the per-pair kernel's.  Even–odd
+    parity is taken per polygon (``polygon_starts`` indexes each
+    polygon's first edge) and OR-ed across polygons, so a point where
+    two polygons of one region overlap is inside, as Compute-CDR asks
+    ("the centre of mbb(b) lies inside a polygon of a"); a point on any
+    edge is inside too.
     """
     ax, ay = x1[:, None], y1[:, None]
     bx, by = x2[:, None], y2[:, None]
@@ -370,7 +345,8 @@ def _points_in_region(
         ((dy > 0) & (x_cross_num > cx * dy))
         | ((dy < 0) & (x_cross_num < cx * dy))
     )
-    odd = (np.count_nonzero(toggles, axis=0) % 2).astype(bool)
+    crossings = np.add.reduceat(toggles, polygon_starts, axis=0, dtype=np.intp)
+    odd = np.any(crossings % 2 == 1, axis=0)
     return odd | np.any(on_segment, axis=0)
 
 
@@ -380,26 +356,22 @@ def _points_in_region(
 
 
 class SweepEngine(Engine):
-    """Sweep-optimised backend: prune + cached arrays + broadcast bulk.
+    """Sweep-optimised backend: prune + cached arrays + broadcast rows.
 
     Per-pair calls follow the ordinary :class:`Engine` protocol — the
     mbb prune answers trivial exterior placements exactly from box
     arithmetic (path ``"prune"``); everything else takes the float64
     kernel over the cached edge arrays (path ``"fast"``).
 
-    The bulk entry points :meth:`relation_many` /
-    :meth:`percentages_many` answer one primary against a whole row of
-    reference boxes: pruned boxes are filtered out first, the rest go
-    through a single broadcast kernel invocation (path
-    ``"broadcast"``).  ``stats.calls`` advances by the number of boxes
-    served so pairs-per-second telemetry stays comparable with
-    per-pair engines.
-
-    :meth:`sweep_plane` is the index-addressed face of the same
-    kernels: it sweeps a row range of a shared-memory
-    :class:`~repro.core.plane.GeometryPlane` without materialising any
-    :class:`~repro.geometry.region.Region` objects — the path the
-    parallel batch executor dispatches to workers.
+    :meth:`sweep_plane` is the batch kernel: it sweeps a row range of a
+    shared-memory :class:`~repro.core.plane.GeometryPlane` without
+    materialising any :class:`~repro.geometry.region.Region` objects,
+    pruned boxes filtered out first and the rest classified in one
+    broadcast invocation per row (path ``"broadcast"``).
+    :meth:`relation_many` is the same row computation for one
+    ``Region`` against a list of boxes.  Both advance ``stats.calls``
+    by the number of boxes served, so pairs-per-second telemetry stays
+    comparable with per-pair engines.
     """
 
     name = "sweep"
@@ -439,68 +411,41 @@ class SweepEngine(Engine):
         )
         return matrix, FAST_PATH
 
-    # -- bulk protocol -----------------------------------------------
+    # -- row protocol ------------------------------------------------
 
     def relation_many(
         self, primary: Region, boxes: Sequence[BoundingBox]
     ) -> List[Tuple[CardinalDirection, Optional[str]]]:
         """``primary R box`` for every box, in one broadcast pass."""
-        return self._bulk(
-            "relation",
-            primary,
-            boxes,
-            prune=lambda tile: CardinalDirection(tile),
-            kernel=compute_cdr_fast_many,
-        )
-
-    def percentages_many(
-        self, primary: Region, boxes: Sequence[BoundingBox]
-    ) -> List[Tuple[PercentageMatrix, Optional[str]]]:
-        """The percentage matrix for every box, in one broadcast pass."""
-
-        def kernel(region, pending, *, arrays=None):
-            return [
-                PercentageMatrix.from_areas(areas)
-                for areas in tile_areas_fast_many(
-                    region, pending, arrays=arrays
-                )
-            ]
-
-        return self._bulk(
-            "percentages", primary, boxes, prune=prune_matrix, kernel=kernel
-        )
-
-    def _bulk(self, operation, primary, boxes, *, prune, kernel):
-        """Shared bulk plumbing: prune filter, one kernel, telemetry."""
         if not boxes:
             return []
         start = time.perf_counter()
         primary_box = self.primary_box(primary)
-        results: List[Optional[Tuple[object, Optional[str]]]] = []
+        results: list = []
         pending: List[BoundingBox] = []
         pending_at: List[int] = []
         for index, box in enumerate(boxes):
             tile = single_tile_prune(primary_box, box)
             if tile is not None:
-                results.append((prune(tile), PRUNE_PATH))
+                results.append((CardinalDirection(tile), PRUNE_PATH))
             else:
                 results.append(None)
                 pending.append(box)
                 pending_at.append(index)
         paths = {PRUNE_PATH: len(boxes) - len(pending)}
         if pending:
-            values = kernel(
+            relations = compute_cdr_fast_many(
                 primary, pending, arrays=self.edge_arrays(primary)
             )
-            for index, value in zip(pending_at, values):
-                results[index] = (value, BROADCAST_PATH)
+            for index, relation in zip(pending_at, relations):
+                results[index] = (relation, BROADCAST_PATH)
             paths[BROADCAST_PATH] = len(pending)
         elapsed = time.perf_counter() - start
         self.stats.record_bulk(
-            operation, elapsed, len(boxes), {p: n for p, n in paths.items() if n}
+            "relation", elapsed, len(boxes), {p: n for p, n in paths.items() if n}
         )
         self._emit_telemetry(
-            operation,
+            "relation",
             elapsed,
             BROADCAST_PATH,
             count=len(boxes),
@@ -522,18 +467,18 @@ class SweepEngine(Engine):
         row_index: Optional[Sequence[int]] = None,
         column_index: Optional[Sequence[int]] = None,
     ) -> Tuple[int, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Sweep plane rows ``[start, stop)`` against every healthy column.
+        """Sweep plane rows ``[start, stop)`` against every exact column.
 
-        The index-addressed bulk path: geometry comes straight from the
+        The index-addressed batch kernel: geometry comes straight from the
         shared-memory plane's columnar arrays — no ``Region`` objects,
         no pickled boxes, no per-worker edge rebuilds.  Row results
         land in full-width arrays indexed by global column:
 
         * ``masks`` — ``(rows, n)`` uint16 tile bitmask per pair
           (``1 << int(tile)``), 0 for self / unswept pairs — including
-          every pair of a region whose ``health`` bits rule it out as a
-          row or column (see :mod:`repro.core.plane`), which the caller
-          answers through its row path;
+          every pair of a region with ``health == 0`` (see
+          :mod:`repro.core.plane`), which the caller answers through its
+          row path;
         * ``paths`` — ``(rows, n)`` uint8, :data:`PLANE_PATH_PRUNE` /
           :data:`PLANE_PATH_BROADCAST` / 0 (not computed);
         * ``areas`` — ``(rows, n, 9)`` float64 per-tile areas in
@@ -544,34 +489,32 @@ class SweepEngine(Engine):
         Returns ``(rows_done, masks, paths, areas)``.  ``rows_done <
         stop - start`` only when the ambient deadline expired — partial
         work is returned, never discarded; the caller labels the rest.
-        Per-pair float semantics, prune decisions, stats accounting
-        (``record_bulk`` per row and operation) and telemetry match
-        :meth:`relation_many` / :meth:`percentages_many` exactly —
-        the equivalence suite asserts byte-identical outcomes.
+        Prune decisions and relations match :meth:`relation_many` and
+        the per-pair protocol; stats are accounted with ``record_bulk``
+        once per row and operation.
 
         ``row_index`` / ``column_index`` restrict the sweep to an
         index-supplied subset: ``row_index`` is a list of global plane
         row numbers and ``[start, stop)`` then addresses *positions in
         that list* (so chunk carving stays positional), while
         ``column_index`` limits the reference columns (intersected with
-        the healthy set; self-pairs are still excluded by global row
-        number).  Result arrays keep their full-width ``(rows, n)``
+        the plane's exact regions; self-pairs are still excluded by
+        global row number).  Result arrays keep their full-width ``(rows, n)``
         global-column layout either way.
         """
-        from repro.core.plane import PLANE_ROW
-
         ids = plane.ids
         offsets = plane.offsets
         health = plane.health
         boxes = plane.boxes
         x1, y1 = plane.x1, plane.y1
         x2, y2 = plane.x2, plane.y2
+        starts = plane.starts
         dx, dy = plane.deltas()
-        healthy_columns = plane.healthy_columns()
+        exact_columns = plane.exact_regions()
         if column_index is not None:
             wanted = np.asarray(column_index, dtype=np.int64)
-            healthy_columns = healthy_columns[
-                np.isin(healthy_columns, wanted)
+            exact_columns = exact_columns[
+                np.isin(exact_columns, wanted)
             ]
         n = plane.size
         rows = stop - start
@@ -584,12 +527,12 @@ class SweepEngine(Engine):
             row = position if row_index is None else int(row_index[position])
             if deadline is not None and deadline.expired():
                 return row_offset, masks, paths, areas
-            if not health[row] & PLANE_ROW:
+            if not health[row]:
                 continue
             if include_self:
-                columns = healthy_columns
+                columns = exact_columns
             else:
-                columns = healthy_columns[healthy_columns != row]
+                columns = exact_columns[exact_columns != row]
             k = columns.size
             if k == 0:
                 continue
@@ -665,6 +608,7 @@ class SweepEngine(Engine):
                         ey1,
                         x2[edge_first:edge_last],
                         y2[edge_first:edge_last],
+                        np.flatnonzero(starts[edge_first:edge_last]),
                         centre_x,
                         centre_y,
                     )

@@ -113,16 +113,12 @@ class TestCoherenceAfterEdit:
         store.update_region(moved_region(store.configuration.get("r5")))
         list(store.all_relations())
         calls = store.engine_stats.calls
-        # Only r5's row and column re-enter: 2 * (n - 1) pair computes,
-        # give or take how the engine batches a row.
+        # Only r5's row and column re-enter: exactly 2 * (n - 1) pair
+        # computes (``relation_many`` records its row under "relation").
         new_relation_work = (
             calls.get("relation", 0) - calls_before.get("relation", 0)
         )
-        new_bulk_work = calls.get("relation_many", 0) - calls_before.get(
-            "relation_many", 0
-        )
-        assert new_relation_work + new_bulk_work <= 2 * (COUNT - 1)
-        assert new_relation_work + new_bulk_work > 0
+        assert new_relation_work == 2 * (COUNT - 1)
 
     @pytest.mark.parametrize("engine", ["exact", "sweep"])
     def test_region_added_after_matrix_is_served_fresh(self, engine):

@@ -1,15 +1,16 @@
 """The relation store's plane-filled matrix: differential and lifecycle.
 
 A full ``refresh_matrix`` with the ``sweep`` engine fills the matrix
-from one in-process plane sweep instead of the per-row bulk path.  Two
+from one in-process plane sweep instead of the per-row path.  Two
 obligations:
 
 * *differential* — over several seeds, including edges on or one ulp
-  either side of a neighbour's mbb line and rings repaired by lenient
-  XML ingestion, the plane-filled matrix equals the row path's and the
-  engine's per-pair answers; regions the plane cannot answer exactly
-  (``Fraction`` coordinates, overlapping polygons) stay out of the
-  sweep and still get the row path's answers;
+  either side of a neighbour's mbb line, rings repaired by lenient
+  XML ingestion and a region of overlapping polygons, the plane-filled
+  matrix equals the row path's and the engine's per-pair answers;
+  regions the plane cannot answer exactly (``Fraction`` coordinates,
+  ints beyond ``2**24``) stay out of the sweep and still get the row
+  path's answers;
 * *lifecycle* — no ``/dev/shm`` segment outlives a refresh, whether it
   succeeds, raises, hits its deadline or is interrupted, and a refresh
   cut short keeps its finished rows for the next one to build on.
@@ -65,7 +66,7 @@ def swept_rows(monkeypatch):
         calls.append(
             (
                 {plane.ids[row] for row in rows},
-                {plane.ids[row] for row in plane.healthy_columns()},
+                {plane.ids[row] for row in plane.exact_regions()},
             )
         )
         return original(self, plane, start, stop, **kwargs)
@@ -167,7 +168,7 @@ class TestDifferential:
         rows, healthy = swept_rows[0]
         assert not {"third", "huge"} & (rows | healthy)
 
-    def test_overlapping_polygons_take_the_row_path(self, swept_rows):
+    def test_overlapping_polygons_are_swept(self, swept_rows):
         twin = Region.from_coordinates(
             [
                 [(0, 0), (0, 4), (4, 4), (4, 0)],
@@ -185,7 +186,7 @@ class TestDifferential:
         )
         assert_matches_row_path_and_pairs(configuration)
         rows, healthy = swept_rows[0]
-        assert "twin" not in rows and "twin" in healthy
+        assert "twin" in rows and "twin" in healthy
         store = RelationStore(configuration, engine="sweep")
         assert store.relation("twin", "dot").includes("B")
 

@@ -101,24 +101,30 @@ class TestRestrictedSweep:
         """The worker pool (plane chunks for sweep, row-path chunks for
         every other engine) matches the serial call outcome for outcome
         — status, relation, percentages, error and path — over the full
-        matrix and under the restriction."""
+        matrix and under the restriction, with and without
+        percentages."""
         for restriction in (
             {},
             {"primaries": PRIMARIES, "references": REFERENCES},
         ):
-            serial, parallel = (
-                batch_relations(
-                    configuration,
-                    engine=engine,
-                    percentages=True,
-                    workers=workers,
-                    validate=False,
-                    repair=False,
-                    **restriction,
+            for percentages in (True, False):
+                serial, parallel = (
+                    batch_relations(
+                        configuration,
+                        engine=engine,
+                        percentages=percentages,
+                        workers=workers,
+                        validate=False,
+                        repair=False,
+                        **restriction,
+                    )
+                    for workers in (None, 2)
                 )
-                for workers in (None, 2)
-            )
-            assert parallel.outcomes == serial.outcomes
+                assert parallel.outcomes == serial.outcomes
+                assert (
+                    parallel.engine_stats.path_counts
+                    == serial.engine_stats.path_counts
+                )
         assert not parallel.error_outcomes()
         assert parallel.relations() == expected_slice(
             full_relations, PRIMARIES, REFERENCES

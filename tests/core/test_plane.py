@@ -11,8 +11,8 @@ Three obligations, in order of blast radius:
 * ``workers=N`` over the plane must be *indistinguishable* from the
   serial sweep: identical outcome objects (relations, percentages,
   paths, errors) and identical repair reports, with or without fault
-  injection — also for regions the plane flags as not exactly
-  sweepable, whose pairs the parent answers through the row path.
+  injection — also for regions with a coordinate that is not
+  float64-exact, whose pairs the parent answers through the row path.
 
 CI replays this module under several ``REPRO_CHAOS_SEED`` values, like
 the rest of the chaos suite.
@@ -28,11 +28,14 @@ from fractions import Fraction
 import pytest
 
 from repro.cardirect.model import AnnotatedRegion, Configuration
-from repro.core.batch import _ChunkSizer, batch_relations
-from repro.core.plane import PLANE_COLUMN, PLANE_ROW, GeometryPlane
+from repro.core.batch import DEADLINE, OK, _ChunkSizer, batch_relations
+from repro.core.plane import GeometryPlane
+from repro.core.sweep import BROADCAST_PATH, FAST_PATH, PRUNE_PATH, SweepEngine
+from repro.core.tiles import Tile
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.region import Region
+from repro.resilience.deadline import Deadline
 from repro.resilience.faults import ENV_FAULTS, ENV_SEED, FaultSpec, injecting
 from repro.resilience.retry import RetryPolicy
 from repro.workloads.generators import random_star_polygon
@@ -189,7 +192,7 @@ class TestSegmentLayout:
             dx, dy = plane.deltas()
             assert (dx == plane.x2 - plane.x1).all()
             assert (dy == plane.y2 - plane.y1).all()
-            assert list(plane.healthy_columns()) == list(range(9))
+            assert list(plane.exact_regions()) == list(range(9))
         finally:
             plane.destroy()
 
@@ -243,7 +246,7 @@ class TestSegmentLayout:
             assert start == stop  # zero edges for the broken row
             assert plane.health[1] == 0
             assert all(value != value for value in plane.boxes[1])  # NaN
-            assert list(plane.healthy_columns()) == [0, 2]
+            assert list(plane.exact_regions()) == [0, 2]
         finally:
             plane.destroy()
 
@@ -420,8 +423,9 @@ class TestSerialParity:
 
 
     def test_overlapping_polygons_keep_b_under_workers(self, no_leaked_segments):
-        # Regression: the pool once swept the twin row on the plane,
-        # whose even-odd centre test misses B where the squares overlap.
+        # Regression: the plane's centre test once took even-odd parity
+        # over all of twin's edges at once, which misses B where the
+        # squares overlap; it now takes parity per polygon.
         configuration = twin_configuration()
         serial, parallel = (
             batch_relations(
@@ -469,22 +473,141 @@ class TestPlaneFlags:
         )
         try:
             flags = dict(zip(all_ids, plane.health.tolist()))
+            # Only a coordinate that is not float64-exact keeps a region
+            # off the plane; the overlapping twin is swept like any other.
             assert flags == {
-                "twin": PLANE_COLUMN,
-                "dot": PLANE_COLUMN | PLANE_ROW,
-                "far": PLANE_COLUMN | PLANE_ROW,
-                "left": PLANE_COLUMN | PLANE_ROW,
+                "twin": 1,
+                "dot": 1,
+                "far": 1,
+                "left": 1,
                 "third": 0,
                 "huge": 0,
                 "edge": 0,
             }
-            assert [all_ids[row] for row in plane.sweepable_rows()] == [
+            assert [all_ids[row] for row in plane.exact_regions()] == [
+                "twin",
                 "dot",
                 "far",
                 "left",
             ]
+            # One polygon-start flag per edge: twin's two squares, then
+            # one square each for dot, far and left.
+            assert plane.starts.tolist() == [1, 0, 0, 0] * 5
+            engine = SweepEngine()
+            done, masks, paths, _areas = engine.sweep_plane(
+                plane, 0, plane.size, percentages=True
+            )
+            assert done == plane.size
+            # Every pair with two exact regions is swept, and agrees
+            # with the per-pair kernel — B included, which only the
+            # per-polygon centre test finds for twin against dot.
+            exact_ids = {"twin", "dot", "far", "left"}
+            for row, primary_id in enumerate(all_ids):
+                for column, reference_id in enumerate(all_ids):
+                    swept = bool(masks[row, column])
+                    assert swept == (
+                        row != column
+                        and {primary_id, reference_id} <= exact_ids
+                    )
+                    if swept:
+                        expected = engine.relation(
+                            healthy[primary_id], boxes[reference_id]
+                        )
+                        assert int(masks[row, column]) == expected.mask
+            twin_dot = int(masks[all_ids.index("twin"), all_ids.index("dot")])
+            assert twin_dot & (1 << int(Tile.B))
         finally:
             plane.destroy()
+
+
+class TestSerialPlane:
+    """A serial ``engine="sweep"`` call runs the plane kernel in-process."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The id lists of every plane built during the test."""
+        built = []
+        original_build = GeometryPlane.build.__func__
+
+        def build(cls, *args, **kwargs):
+            built.append(list(args[0]))
+            return original_build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(GeometryPlane, "build", classmethod(build))
+        return built
+
+    def test_clean_run_builds_one_plane(self, builds, no_leaked_segments):
+        configuration = star_configuration(12)
+        report = batch_relations(configuration, engine="sweep")
+        assert len(builds) == 1
+        assert {outcome.status for outcome in report.outcomes} == {OK}
+        assert {outcome.path for outcome in report.outcomes} <= {
+            PRUNE_PATH,
+            BROADCAST_PATH,
+        }
+        assert report.engine_stats.path_counts[FAST_PATH] == 0
+        assert report.relations() == batch_relations(
+            configuration, engine="exact"
+        ).relations()
+
+    def test_no_rows_builds_no_plane(self, builds, no_leaked_segments):
+        report = batch_relations(
+            star_configuration(4), engine="sweep", primaries=[]
+        )
+        assert report.outcomes == []
+        assert builds == []
+
+    def test_raising_row_is_answered_pair_by_pair(self, no_leaked_segments):
+        configuration = star_configuration(12)
+        clean = batch_relations(configuration, engine="sweep")
+        with injecting(
+            FaultSpec(site="batch.row", kind="raise", only={"primary": "g3"}),
+            seed=CHAOS_SEED,
+        ):
+            faulted = batch_relations(configuration, engine="sweep")
+        assert [
+            (o.primary_id, o.reference_id, o.status, o.relation)
+            for o in faulted.outcomes
+        ] == [
+            (o.primary_id, o.reference_id, o.status, o.relation)
+            for o in clean.outcomes
+        ]
+        # g3's row took the per-pair kernel; every other row the plane.
+        for outcome in faulted.outcomes:
+            if outcome.primary_id == "g3":
+                assert outcome.path in (PRUNE_PATH, FAST_PATH)
+            else:
+                assert outcome.path in (PRUNE_PATH, BROADCAST_PATH)
+        assert faulted.engine_stats.path_counts[FAST_PATH] > 0
+
+    def test_keyboard_interrupt_leaves_no_segment(
+        self, monkeypatch, no_leaked_segments
+    ):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(SweepEngine, "sweep_plane", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            batch_relations(grid_configuration(6), engine="sweep")
+
+    def test_deadline_keeps_finished_rows(self, no_leaked_segments):
+        configuration = star_configuration(12)
+        n = len(configuration)
+        clean = batch_relations(configuration, engine="sweep")
+        ticks = iter(range(10**6))
+        # Every expiry check advances the clock a tick: the budget runs
+        # out a few rows into the sweep.
+        deadline = Deadline(5.5, clock=lambda: float(next(ticks)))
+        report = batch_relations(
+            configuration, engine="sweep", deadline=deadline
+        )
+        assert report.deadline_hit
+        statuses = [outcome.status for outcome in report.outcomes]
+        finished = statuses.index(DEADLINE)
+        assert finished % (n - 1) == 0  # whole rows, never a partial one
+        assert 0 < finished < n * (n - 1)
+        assert set(statuses[finished:]) == {DEADLINE}
+        assert report.outcomes[:finished] == clean.outcomes[:finished]
 
 
 class TestPoolSizing:

@@ -17,19 +17,26 @@ import pytest
 from repro.core.batch import batch_relations
 from repro.core.engine import create_engine
 from repro.core.fast import compute_cdr_fast_against_box, tile_areas_fast
+from repro.core.matrix import PercentageMatrix
+from repro.core.plane import GeometryPlane
 from repro.core.sweep import (
+    AREA_TILE_ORDER,
     BROADCAST_PATH,
     FAST_PATH,
+    PLANE_PATH_BROADCAST,
+    PLANE_PATH_PRUNE,
     PRUNE_PATH,
     SweepEngine,
     compute_cdr_fast_many,
+    prune_matrix,
     single_tile_prune,
-    tile_areas_fast_many,
 )
 from repro.core.tiles import Tile
 from repro.cardirect.model import AnnotatedRegion, Configuration
+from repro.cardirect.store import RelationStore
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.region import Region
+from repro.geometry.repair import REPAIR, repair_region
 from repro.workloads.generators import (
     random_rectilinear_region,
     random_region_pair,
@@ -44,6 +51,47 @@ TOLERANCE = 1e-6
 
 def box(min_x, min_y, max_x, max_y):
     return BoundingBox(min_x, min_y, max_x, max_y)
+
+
+def plane_row(engine, primary, boxes):
+    """``sweep_plane(percentages=True)`` of ``primary`` against one
+    rectangle region per box: ``(masks, paths, areas)`` of that row,
+    columns in box order."""
+    regions = {"primary": primary}
+    for index, reference_box in enumerate(boxes):
+        regions[f"box{index}"] = Region.from_coordinates(
+            [
+                [
+                    (reference_box.min_x, reference_box.min_y),
+                    (reference_box.min_x, reference_box.max_y),
+                    (reference_box.max_x, reference_box.max_y),
+                    (reference_box.max_x, reference_box.min_y),
+                ]
+            ]
+        )
+    plane = GeometryPlane.build(
+        list(regions),
+        healthy=regions,
+        boxes={key: region.bounding_box() for key, region in regions.items()},
+        broken={},
+    )
+    try:
+        done, masks, paths, areas = engine.sweep_plane(
+            plane, 0, 1, percentages=True
+        )
+    finally:
+        plane.destroy()
+    assert done == 1
+    return masks[0, 1:], paths[0, 1:], areas[0, 1:]
+
+
+def plane_matrix(mask, path, areas):
+    """The percentage matrix batch assembly builds from a plane pair."""
+    if path == PLANE_PATH_PRUNE:
+        return prune_matrix(Tile(int(mask).bit_length() - 1))
+    return PercentageMatrix.from_areas(
+        {tile: float(value) for tile, value in zip(AREA_TILE_ORDER, areas)}
+    )
 
 
 def assert_matrices_close(got, want, context=None):
@@ -167,12 +215,21 @@ class TestBroadcastKernel:
         rng = random.Random(seed)
         primary = random_rectilinear_region(rng, 6)
         boxes = self._boxes(rng)
-        many = tile_areas_fast_many(primary, boxes)
-        for reference_box, areas in zip(boxes, many):
+        masks, paths, areas = plane_row(SweepEngine(), primary, boxes)
+        assert PLANE_PATH_BROADCAST in paths.tolist()
+        for reference_box, mask, path, row in zip(boxes, masks, paths, areas):
             expected = tile_areas_fast(primary, reference_box)
+            if path == PLANE_PATH_PRUNE:
+                # Pruned pairs carry no float areas: all of the primary
+                # lies in the one tile of the mask.
+                assert not row.any()
+                (tile,) = [t for t in Tile if expected.get(t, 0.0) > 0.0]
+                assert int(mask) == 1 << int(tile)
+                continue
+            got = dict(zip(AREA_TILE_ORDER, row.tolist()))
             for tile in Tile:
                 assert abs(
-                    areas.get(tile, 0.0) - expected.get(tile, 0.0)
+                    got[tile] - expected.get(tile, 0.0)
                 ) <= 1e-9 * max(1.0, expected.get(tile, 0.0))
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -198,7 +255,8 @@ class TestBroadcastKernel:
         rng = random.Random(0)
         primary = random_rectilinear_region(rng, 3)
         assert compute_cdr_fast_many(primary, []) == []
-        assert tile_areas_fast_many(primary, []) == []
+        masks, paths, areas = plane_row(SweepEngine(), primary, [])
+        assert masks.size == paths.size == areas.size == 0
 
     @staticmethod
     def _boxes(rng):
@@ -222,16 +280,18 @@ class TestSweepEngineBulk:
         primary = random_rectilinear_region(rng, 5)
         boxes = TestBroadcastKernel._boxes(rng)
         relations = engine.relation_many(primary, boxes)
-        matrices = engine.percentages_many(primary, boxes)
-        assert len(relations) == len(matrices) == len(boxes)
-        for reference_box, (relation, path), (matrix, m_path) in zip(
-            boxes, relations, matrices
+        masks, paths, areas = plane_row(engine, primary, boxes)
+        assert len(relations) == len(masks) == len(boxes)
+        for reference_box, (relation, path), mask, m_path, row in zip(
+            boxes, relations, masks, paths, areas
         ):
             assert path in (PRUNE_PATH, BROADCAST_PATH)
-            assert m_path in (PRUNE_PATH, BROADCAST_PATH)
+            assert m_path in (PLANE_PATH_PRUNE, PLANE_PATH_BROADCAST)
             assert relation == per_pair.relation(primary, reference_box)
+            assert int(mask) == relation.mask
             assert_matrices_close(
-                matrix, per_pair.percentages(primary, reference_box)
+                plane_matrix(mask, m_path, row),
+                per_pair.percentages(primary, reference_box),
             )
 
     def test_bulk_calls_count_per_box(self):
@@ -246,10 +306,11 @@ class TestSweepEngineBulk:
         ]
         engine.relation_many(primary, boxes)
         assert engine.stats.calls["relation"] == 7
-        engine.percentages_many(primary, boxes)
+        plane_row(engine, primary, boxes)
+        assert engine.stats.calls["relation"] == 14
         assert engine.stats.calls["percentages"] == 7
         path_total = sum(engine.stats.path_counts.values())
-        assert path_total == 14
+        assert path_total == 21
 
     def test_path_counts_are_preseeded(self):
         engine = SweepEngine()
@@ -305,28 +366,61 @@ class TestBatchIntegration:
         assert counted[BROADCAST_PATH] > 0
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_workers_match_serial(self, seed):
+    def test_workers_match_serial(self, seed, monkeypatch):
+        """Serial, ``workers=2`` and the store's full refresh run the one
+        plane kernel — also over a repaired bowtie, whose two triangles'
+        mbbs overlap — and agree outcome for outcome."""
+
+        def row_kernel(*args, **kwargs):
+            raise AssertionError("the Region-facing row kernel ran")
+
+        # None of the three paths may leave the plane (workers would not
+        # see this patch, but serial, the pool's assembly and the store
+        # all run in this process).
+        monkeypatch.setattr(SweepEngine, "relation_many", row_kernel)
         configuration = _configuration(seed)
-        serial = batch_relations(
-            configuration, engine="sweep", percentages=True
+        bowtie, _report = repair_region(
+            Region.from_coordinates(
+                [[(0.0, 4.0), (2.0, 0.0), (2.0, 2.0), (0.0, 0.0)]]
+            ).translated(-1.0, -2.0),
+            mode=REPAIR,
         )
-        parallel = batch_relations(
-            configuration, engine="sweep", percentages=True, workers=2
-        )
-        assert [
-            (o.primary_id, o.reference_id, o.status, o.relation)
-            for o in serial.outcomes
-        ] == [
-            (o.primary_id, o.reference_id, o.status, o.relation)
-            for o in parallel.outcomes
-        ]
-        # Per-worker stats merge into one report-level record.
+        assert len(bowtie.polygons) == 2
+        configuration.add(AnnotatedRegion(id="bowtie", region=bowtie))
+        for percentages in (True, False):
+            serial = batch_relations(
+                configuration, engine="sweep", percentages=percentages
+            )
+            parallel = batch_relations(
+                configuration,
+                engine="sweep",
+                percentages=percentages,
+                workers=2,
+            )
+            # Full-object equality: status, relation, percentages, path.
+            assert parallel.outcomes == serial.outcomes
+            # Per-worker stats merge into one report-level record.
+            assert (
+                parallel.engine_stats.calls == serial.engine_stats.calls
+            )
+            assert (
+                parallel.engine_stats.path_counts
+                == serial.engine_stats.path_counts
+            )
+            # Nothing fell back to the per-pair row path: the bowtie's
+            # row and column were swept on the plane.
+            assert serial.engine_stats.path_counts[FAST_PATH] == 0
+            assert {
+                o.path for o in serial.outcomes if "bowtie" in (o.primary_id, o.reference_id)
+            } <= {PRUNE_PATH, BROADCAST_PATH}
+        store = RelationStore(configuration, engine="sweep")
+        store.refresh_matrix()
+        assert {
+            (primary, reference): relation
+            for primary, reference, relation in store.all_relations()
+        } == serial.relations()
         assert (
-            parallel.engine_stats.calls == serial.engine_stats.calls
-        )
-        assert (
-            parallel.engine_stats.path_counts
-            == serial.engine_stats.path_counts
+            store.engine_stats.path_counts == serial.engine_stats.path_counts
         )
 
     def test_workers_preserve_engine_configuration(self):
